@@ -316,11 +316,12 @@ let run_obs_overhead () =
 (* ---------------- parallel query throughput ---------------- *)
 
 (* The read path split in action: one database, per-domain readers,
-   whole batches answered by [Segdb.parallel_query]. Scaling beyond
-   1 domain requires that many hardware threads — the JSON records the
-   machine's count so flat curves are attributable. *)
+   whole batches answered by [Exec.run] on the default pool. Scaling
+   beyond 1 domain requires that many hardware threads — the JSON
+   records the machine's count so flat curves are attributable. *)
 
 let run_parallel_throughput () =
+  let module Exec = Segdb_exec.Exec in
   let n = if quick then 1 lsl 12 else 1 lsl 15 in
   let span = 1000.0 in
   let segs = W.uniform (Rng.create 42) ~n ~span in
@@ -340,13 +341,18 @@ let run_parallel_throughput () =
       Array.iter (fun q -> ignore (Db.count db q)) queries;
       let qps domains =
         let readers = Array.init domains (fun _ -> Db.reader db) in
-        ignore (Db.parallel_query ~readers db queries ~domains);
+        let batch () =
+          ignore
+            (Exec.run ~readers (Exec.default ()) db
+               (Exec.request ~degraded_ok:false queries) ~domains)
+        in
+        batch ();
         let min_elapsed = if quick then 0.05 else 0.3 in
         let batches = ref 0 in
         let t0 = Unix.gettimeofday () in
         let elapsed = ref 0.0 in
         while !elapsed < min_elapsed do
-          ignore (Db.parallel_query ~readers db queries ~domains);
+          batch ();
           incr batches;
           elapsed := Unix.gettimeofday () -. t0
         done;
@@ -376,94 +382,21 @@ let run_parallel_throughput () =
   Printf.printf "(machine reports %d hardware thread(s))\n"
     (Domain.recommended_domain_count ())
 
-(* ---------------- execution engine: pool vs spawn ---------------- *)
+(* ---------------- execution engine: deadline plateau ---------------- *)
 
-(* What the persistent pool buys over spawn-per-batch: the same warm
-   batch answered via the legacy spawning executor and via [Exec.run]
-   on a pre-created pool, at 1/2/4 participating domains. The spawning
-   path pays domain creation + teardown on every call; the pool path
-   only enqueues. Then the deadline in action: a thrashing naive scan
-   (shared pool far smaller than the index) with and without a tight
-   budget — cooperative cancellation at block-fetch granularity means
-   the cold reads charged to the workers' readers plateau instead of
-   running the whole batch.
+(* The deadline in action: a thrashing naive scan (shared pool far
+   smaller than the index, so every query pays cold reads) with and
+   without a 2ms budget — cooperative cancellation at block-fetch granularity means the cold
+   reads charged to the workers' readers plateau instead of running
+   the whole batch.
 
-   JSON rows: [exec_spawn]/[exec_pool] carry queries_per_sec per
-   [domains]; [deadline_full]/[deadline_tight] carry the total cold
+   JSON rows: [deadline_full]/[deadline_tight] carry the total cold
    reads in [blocks_per_op] and the answered-query count in
    [domains]. *)
 
-let run_exec_pool () =
+let run_deadline_plateau () =
   let module Exec = Segdb_exec.Exec in
-  let n = if quick then 1 lsl 12 else 1 lsl 15 in
   let span = 1000.0 in
-  let segs = W.uniform (Rng.create 42) ~n ~span in
-  let nq = if quick then 128 else 512 in
-  let queries = W.segment_queries (Rng.create 47) ~n:nq ~span ~selectivity:0.02 in
-  let db = Db.create ~backend:`Solution2 ~block:64 ~pool_blocks:64 segs in
-  Array.iter (fun q -> ignore (Db.count db q)) queries;
-  let min_elapsed = if quick then 0.05 else 0.3 in
-  let table =
-    Segdb_util.Table.create
-      ~title:
-        (Printf.sprintf
-           "execution engine: spawn-per-batch vs persistent pool (solution2, %d-query batches)"
-           nq)
-      ~columns:[ "domains"; "spawn q/s"; "pool q/s"; "pool/spawn" ]
-  in
-  List.iter
-    (fun domains ->
-      let readers = Array.init domains (fun _ -> Db.reader db) in
-      let qps f =
-        ignore (f ());
-        let batches = ref 0 in
-        let t0 = Unix.gettimeofday () in
-        let elapsed = ref 0.0 in
-        while !elapsed < min_elapsed do
-          ignore (f ());
-          incr batches;
-          elapsed := Unix.gettimeofday () -. t0
-        done;
-        float_of_int (!batches * nq) /. !elapsed
-      in
-      let pool = Exec.create ~workers:(max 1 (domains - 1)) () in
-      let spawn_f () = ignore (Db.parallel_query_spawning ~readers db queries ~domains) in
-      (* degraded_ok:false matches the engine hook behind
-         [Segdb.parallel_query] — same per-query work as the spawning
-         baseline *)
-      let pool_f () =
-        ignore (Exec.run ~readers pool db (Exec.request ~degraded_ok:false queries) ~domains)
-      in
-      (* interleaved best-of-3: a background load burst hitting one
-         trial does not decide the comparison *)
-      let spawn_q = ref 0.0 and pool_q = ref 0.0 in
-      for _ = 1 to 3 do
-        spawn_q := Float.max !spawn_q (qps spawn_f);
-        pool_q := Float.max !pool_q (qps pool_f)
-      done;
-      let spawn_q = !spawn_q and pool_q = !pool_q in
-      Exec.shutdown pool;
-      List.iter
-        (fun (op, q) ->
-          add_json
-            {
-              (row "solution2" op) with
-              ns_per_op = Some (1e9 /. q);
-              queries_per_sec = Some q;
-              domains = Some domains;
-            })
-        [ ("exec_spawn", spawn_q); ("exec_pool", pool_q) ];
-      Segdb_util.Table.add_row table
-        [
-          string_of_int domains;
-          Segdb_util.Table.cell_float ~decimals:0 spawn_q;
-          Segdb_util.Table.cell_float ~decimals:0 pool_q;
-          Segdb_util.Table.cell_float ~decimals:2 (pool_q /. spawn_q);
-        ])
-    [ 1; 2; 4 ];
-  Segdb_util.Table.print table;
-  (* deadline plateau: naive scans thrashing a tiny shared pool, so
-     every query pays cold reads; a 2ms budget cuts the batch short *)
   let n_slow = if quick then 1 lsl 11 else 1 lsl 13 in
   let slow_segs = W.uniform (Rng.create 48) ~n:n_slow ~span in
   let slow_db = Db.create ~backend:`Naive ~block:8 ~pool_blocks:8 slow_segs in
@@ -474,7 +407,7 @@ let run_exec_pool () =
     let outcome, stats =
       Exec.run ~readers pool slow_db (Exec.request ~deadline_ms slow_qs) ~domains:2
     in
-    let reads = Array.fold_left (fun acc (s : Db.worker_stats) -> acc + s.reads) 0 stats in
+    let reads = Array.fold_left (fun acc (s : Exec.worker_stats) -> acc + s.reads) 0 stats in
     let answered =
       match outcome with
       | Exec.Ok out | Exec.Degraded (out, _) -> Array.length out
@@ -794,8 +727,8 @@ let () =
   run_obs_overhead ();
   Printf.printf "\n=== parallel query throughput ===\n\n";
   run_parallel_throughput ();
-  Printf.printf "\n=== execution engine: pool vs spawn ===\n\n";
-  run_exec_pool ();
+  Printf.printf "\n=== execution engine: deadline plateau ===\n\n";
+  run_deadline_plateau ();
   Printf.printf "\n=== loopback serving throughput ===\n\n";
   run_net_throughput ();
   Printf.printf "\n=== persistence: snapshot open + file store ===\n\n";

@@ -114,9 +114,11 @@ let run_round ~seed ~ops ~size round =
             List.iter (fun (Instance (_, (module M), t)) -> M.insert t s) instances
         | [] -> ())
     | 2 when !live <> [] ->
-        (* delete a random live segment *)
+        (* delete a random live segment; it goes back to the spare pool,
+           so a later insert brings it back under the same id *)
         let s = List.nth !live (Rng.int rng (List.length !live)) in
         live := List.filter (fun (c : Segment.t) -> c.id <> s.Segment.id) !live;
+        spare := s :: !spare;
         Model.delete model s;
         List.iter
           (fun (Instance (name, (module M), t)) ->
@@ -145,9 +147,9 @@ module Db = Segdb_core.Segdb
 module Exec = Segdb_exec.Exec
 
 (* Parallel round: every backend answers a random query batch three
-   times — serially, via [Segdb.parallel_query] (which fans out on the
-   shared execution engine), and through [Exec.submit] on the default
-   pool (the server's admission path) — and the answers must be
+   times — serially, via [Exec.run] on the default pool (the
+   cooperative fan-out across [domains]), and through [Exec.submit] on
+   the same pool (the server's admission path) — and the answers must be
    identical, element by element. A second batch runs after a burst of
    inserts and deletes so the cross-check also covers indexes reshaped
    by mutation (rebuilt PSTs, split blocks). *)
@@ -201,7 +203,13 @@ let run_parallel_round ~seed ~ops ~size ~domains round =
     List.iter
       (fun (name, db) ->
         let serial = Array.map (Db.query_ids db) qs in
-        let par = Db.parallel_query db qs ~domains in
+        let par =
+          match Exec.run (Exec.default ()) db (Exec.request ~degraded_ok:false qs) ~domains with
+          | Exec.Ok out, _ -> out
+          | o, _ ->
+              fail "%s: %s engine cut the batch short: %s" label name
+                (Format.asprintf "%a" Exec.pp_outcome o)
+        in
         Array.iteri
           (fun i got ->
             if got <> serial.(i) then
@@ -1070,8 +1078,8 @@ let parallel_t =
     & info [ "parallel" ]
         ~doc:
           "Parallel-read cross-checks: every backend answers random query batches through \
-           $(b,Segdb.parallel_query) and the answers must match the serial ones exactly, \
-           both on fresh builds and after mutation.")
+           $(b,Exec.run) on the default pool and through $(b,Exec.submit), and the answers \
+           must match the serial ones exactly, both on fresh builds and after mutation.")
 
 let crash_t =
   Arg.(

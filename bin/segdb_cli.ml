@@ -589,8 +589,8 @@ let batch_local file backend block pool domains deadline_ms qs verbose =
   let results, wstats, note = exec_batch ~deadline_ms db qs ~domains in
   let dt = Unix.gettimeofday () -. t0 in
   print_results ~verbose qs results;
-  let reads = Array.fold_left (fun acc (w : Db.worker_stats) -> acc + w.reads) 0 wstats in
-  let answered = Array.fold_left (fun acc (w : Db.worker_stats) -> acc + w.queries) 0 wstats in
+  let reads = Array.fold_left (fun acc (w : Exec.worker_stats) -> acc + w.reads) 0 wstats in
+  let answered = Array.fold_left (fun acc (w : Exec.worker_stats) -> acc + w.queries) 0 wstats in
   Printf.printf "%d queries, %d domains (pool of %d): %.3fs (%.0f queries/sec, %d block reads)\n"
     (Array.length qs) domains
     (Exec.size (Exec.default ()))
@@ -603,7 +603,7 @@ let batch_local file backend block pool domains deadline_ms qs verbose =
       ~columns:[ "worker"; "queries"; "block reads"; "cache hits"; "cache misses" ]
   in
   Array.iter
-    (fun (w : Db.worker_stats) ->
+    (fun (w : Exec.worker_stats) ->
       Table.add_row table
         [
           Table.cell_int w.worker;

@@ -259,150 +259,6 @@ let count_r t r q =
   query_iter_r t r q ~f:(fun _ -> incr n);
   !n
 
-(* Legacy batch executor, kept as the no-engine fallback and the
-   bench baseline: worker domains are spawned fresh for every call and
-   pull query indexes off a shared atomic cursor (self-balancing — an
-   expensive query does not stall a whole stripe), each answering
-   through its own reader, so the only shared writes are the cursor
-   and disjoint result slots. The caller must hold off writers for the
-   duration, per the reader/writer contract; the calling domain works
-   too, so [domains = 1] is the serial loop. *)
-let parallel_query_spawning ?readers t qs ~domains =
-  if domains < 1 then invalid_arg "Segdb.parallel_query: domains must be >= 1";
-  (match readers with
-  | Some rs when Array.length rs <> domains ->
-      invalid_arg "Segdb.parallel_query: readers array must have one reader per domain"
-  | _ -> ());
-  let n = Array.length qs in
-  let out = Array.make n [] in
-  let next = Atomic.make 0 in
-  let worker k () =
-    let r =
-      match readers with Some rs -> rs.(k) | None -> reader t
-    in
-    let rec loop () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n then begin
-        out.(i) <- query_ids_r t r qs.(i);
-        loop ()
-      end
-    in
-    loop ()
-  in
-  let spawned = Array.init (domains - 1) (fun k -> Domain.spawn (worker (k + 1))) in
-  worker 0 ();
-  Array.iter Domain.join spawned;
-  out
-
-(* Per-worker accounting for one batch: how the work and the I/O spread
-   across domains. *)
-type worker_stats = {
-  worker : int;
-  queries : int; (* queries this domain answered *)
-  reads : int; (* cold block reads charged to its reader *)
-  cache_hits : int; (* lookups served by the reader's own shard *)
-  cache_misses : int;
-}
-
-let pp_worker_stats ppf w =
-  Format.fprintf ppf "worker %d: queries=%d reads=%d cache=%d/%d" w.worker w.queries
-    w.reads w.cache_hits (w.cache_hits + w.cache_misses)
-
-(* Spawn-per-batch variant of the instrumented executor (fallback /
-   baseline, like {!parallel_query_spawning}): per-worker counters
-   always (they ride on structures each worker owns anyway), and
-   per-worker latency histograms merged into [Metrics.default] as
-   [parallel.query.ns] when observability is on. *)
-let parallel_query_stats_spawning ?readers t qs ~domains =
-  if domains < 1 then invalid_arg "Segdb.parallel_query_stats: domains must be >= 1";
-  (match readers with
-  | Some rs when Array.length rs <> domains ->
-      invalid_arg "Segdb.parallel_query_stats: readers array must have one reader per domain"
-  | _ -> ());
-  let module Obs = Segdb_obs in
-  let n = Array.length qs in
-  let out = Array.make n [] in
-  let stats = Array.make domains { worker = 0; queries = 0; reads = 0; cache_hits = 0; cache_misses = 0 } in
-  let next = Atomic.make 0 in
-  let worker k () =
-    let r = match readers with Some rs -> rs.(k) | None -> reader t in
-    let observing = Obs.Control.enabled () in
-    let lat = if observing then Some (Obs.Histogram.create ()) else None in
-    let served = ref 0 in
-    let h0 = Read_context.cache_hits r and m0 = Read_context.cache_misses r in
-    let r0 = Io_stats.reads (reader_io r) in
-    let rec loop () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n then begin
-        (match lat with
-        | Some h ->
-            let t0 = Obs.Trace.now_ns () in
-            out.(i) <- query_ids_r t r qs.(i);
-            Obs.Histogram.record h (Obs.Trace.now_ns () - t0)
-        | None -> out.(i) <- query_ids_r t r qs.(i));
-        incr served;
-        loop ()
-      end
-    in
-    loop ();
-    (match lat with
-    | Some h -> Obs.Metrics.merge_histogram Obs.Metrics.default "parallel.query.ns" h
-    | None -> ());
-    stats.(k) <-
-      {
-        worker = k;
-        queries = !served;
-        reads = Io_stats.reads (reader_io r) - r0;
-        cache_hits = Read_context.cache_hits r - h0;
-        cache_misses = Read_context.cache_misses r - m0;
-      }
-  in
-  let spawned = Array.init (domains - 1) (fun k -> Domain.spawn (worker (k + 1))) in
-  worker 0 ();
-  Array.iter Domain.join spawned;
-  (out, stats)
-
-(* ---------------- the execution-engine hook ----------------
-
-   [Segdb_core] cannot depend on [Segdb_exec] (the engine depends on
-   this module), so the engine registers itself here at module
-   initialization: when [Segdb_exec.Exec] is linked into the program,
-   batches run on its persistent worker pool instead of spawning
-   domains per call. [domains = 1] stays inline in either case — a
-   serial loop with zero queueing — and the spawning executor remains
-   the fallback for binaries that do not link the engine. *)
-
-type batch_engine =
-  ?readers:reader array ->
-  t ->
-  Vquery.t array ->
-  domains:int ->
-  int list array * worker_stats array
-
-let batch_engine : batch_engine option ref = ref None
-
-let set_batch_engine f = batch_engine := Some f
-
-let parallel_query ?readers t qs ~domains =
-  if domains < 1 then invalid_arg "Segdb.parallel_query: domains must be >= 1";
-  (match readers with
-  | Some rs when Array.length rs <> domains ->
-      invalid_arg "Segdb.parallel_query: readers array must have one reader per domain"
-  | _ -> ());
-  match !batch_engine with
-  | Some engine when domains > 1 -> fst (engine ?readers t qs ~domains)
-  | _ -> parallel_query_spawning ?readers t qs ~domains
-
-let parallel_query_stats ?readers t qs ~domains =
-  if domains < 1 then invalid_arg "Segdb.parallel_query_stats: domains must be >= 1";
-  (match readers with
-  | Some rs when Array.length rs <> domains ->
-      invalid_arg "Segdb.parallel_query_stats: readers array must have one reader per domain"
-  | _ -> ());
-  match !batch_engine with
-  | Some engine when domains > 1 -> engine ?readers t qs ~domains
-  | _ -> parallel_query_stats_spawning ?readers t qs ~domains
-
 let segments t =
   let acc = ref [] in
   iter_all t ~f:(fun s -> acc := s :: !acc);

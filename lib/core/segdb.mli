@@ -140,71 +140,6 @@ val query_iter_r : t -> reader -> Vquery.t -> f:(Segment.t -> unit) -> unit
 
 val count_r : t -> reader -> Vquery.t -> int
 
-val parallel_query :
-  ?readers:reader array -> t -> Vquery.t array -> domains:int -> int list array
-(** [parallel_query t qs ~domains] answers the whole batch, fanning the
-    queries across up to [domains] worker domains (the calling domain
-    is one of them; [domains = 1] is the serial loop, run inline with
-    zero queueing). Element [i] of the result is exactly
-    [query_ids t qs.(i)] — sorted ids. Workers pull queries off a
-    shared cursor, so skewed batches self-balance. Each worker uses its
-    own fresh reader unless [readers] supplies one per domain (useful
-    to keep shards warm across batches or to inspect per-worker I/O).
-    No writer may run concurrently.
-
-    When [Segdb_exec.Exec] is linked (see {!set_batch_engine}), the
-    fan-out runs on its persistent worker pool — no domain is spawned
-    per call; otherwise it falls back to {!parallel_query_spawning}. *)
-
-val parallel_query_spawning :
-  ?readers:reader array -> t -> Vquery.t array -> domains:int -> int list array
-(** The legacy executor: identical answers, but [domains - 1] fresh
-    domains are spawned (and joined) on every call. Kept as the
-    fallback when no execution engine is linked and as the baseline the
-    bench suite compares the persistent pool against. *)
-
-type worker_stats = {
-  worker : int;
-  queries : int;  (** queries this domain answered *)
-  reads : int;  (** cold block reads charged to its reader *)
-  cache_hits : int;  (** lookups served by the reader's own shard *)
-  cache_misses : int;
-}
-
-val pp_worker_stats : Format.formatter -> worker_stats -> unit
-
-val parallel_query_stats :
-  ?readers:reader array ->
-  t ->
-  Vquery.t array ->
-  domains:int ->
-  int list array * worker_stats array
-(** {!parallel_query} plus per-worker accounting: how many queries each
-    domain served and what it paid in cold reads and reader-shard
-    hits/misses (deltas over the batch, so passed-in readers may be
-    reused). When {!Segdb_obs.Control.enabled}, each worker additionally
-    records its query latencies and merges them into
-    [Segdb_obs.Metrics.default] under ["parallel.query.ns"]. *)
-
-type batch_engine =
-  ?readers:reader array ->
-  t ->
-  Vquery.t array ->
-  domains:int ->
-  int list array * worker_stats array
-(** What a pluggable batch executor provides: answers plus per-worker
-    accounting for an already-validated batch ([domains >= 2], readers
-    arity checked). The [worker_stats] array has [domains] entries;
-    entries for slots the engine did not need (its pool was smaller
-    than [domains - 1]) report zero queries. *)
-
-val set_batch_engine : batch_engine -> unit
-(** Installs the engine behind {!parallel_query} /
-    {!parallel_query_stats}. Called once, at module initialization, by
-    [Segdb_exec.Exec] — the inversion that lets the engine depend on
-    this module while every [Segdb] entry point routes through the
-    engine's persistent domain pool. Not meant for application code. *)
-
 val backend : t -> backend
 val backend_name : t -> string
 

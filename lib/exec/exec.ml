@@ -174,9 +174,17 @@ let query_one ~degraded_ok db r q =
 
 (* ---------------- cooperative fan-out ---------------- *)
 
+type worker_stats = {
+  worker : int;
+  queries : int;
+  reads : int;
+  cache_hits : int;
+  cache_misses : int;
+}
+
 type stop_reason = R_fault of exn * Printexc.raw_backtrace | R_deadline | R_cancel
 
-(* The core of [run] and of the [Segdb.parallel_query] engine hook.
+(* The core of [run].
 
    Shape: the caller is participant 0-or-later (slots are claimed with
    a fetch-and-add, first come first slotted); up to [domains - 1]
@@ -190,12 +198,12 @@ type stop_reason = R_fault of exn * Printexc.raw_backtrace | R_deadline | R_canc
    [closed] (the pool was busy; the batch is already done) sees the
    flag and exits without touching the arrays, so stale helpers are
    harmless no-ops. *)
-let run_batch pool ?readers ?flag ?(request_id = 0) ~deadline_ns ~degraded_ok db qs ~domains =
+let run_batch pool ?readers ?flag ~request_id ~deadline_ns ~degraded_ok db qs ~domains =
   let n = Array.length qs in
   let out = Array.make n [] in
   let stats =
     Array.init domains (fun k ->
-        { Db.worker = k; queries = 0; reads = 0; cache_hits = 0; cache_misses = 0 })
+        { worker = k; queries = 0; reads = 0; cache_hits = 0; cache_misses = 0 })
   in
   let pfaults = Array.make domains [] in
   let next = Atomic.make 0 in
@@ -270,7 +278,7 @@ let run_batch pool ?readers ?flag ?(request_id = 0) ~deadline_ns ~degraded_ok db
         | None -> ());
         stats.(k) <-
           {
-            Db.worker = k;
+            worker = k;
             queries = !served;
             reads = Io_stats.reads (Db.reader_io r) - r0;
             cache_hits = Read_context.cache_hits r - h0;
@@ -346,12 +354,12 @@ let run ?readers ?cancel pool db req ~domains =
   in
   if slow then
     Obs.Slowlog.note ~wall_ns:(Obs.Trace.now_ns () - t0) (fun () ->
-        let blocks = Array.fold_left (fun a (s : Db.worker_stats) -> a + s.reads) 0 stats in
+        let blocks = Array.fold_left (fun a (s : worker_stats) -> a + s.reads) 0 stats in
         let hits =
-          Array.fold_left (fun a (s : Db.worker_stats) -> a + s.cache_hits) 0 stats
+          Array.fold_left (fun a (s : worker_stats) -> a + s.cache_hits) 0 stats
         in
         let misses =
-          Array.fold_left (fun a (s : Db.worker_stats) -> a + s.cache_misses) 0 stats
+          Array.fold_left (fun a (s : worker_stats) -> a + s.cache_misses) 0 stats
         in
         slowlog_entry ~request_id:req.rq_id ~wall_ns:(Obs.Trace.now_ns () - t0)
           ~queue_wait_ns:0 ~blocks ~cache_hits:hits ~cache_misses:misses req outcome);
@@ -574,11 +582,7 @@ let served_by tk = tk.tk_served_by
 
 (* ---------------- the process-default pool ---------------- *)
 
-let default_workers_override =
-  ref
-    (match Sys.getenv_opt "SEGDB_EXEC_WORKERS" with
-    | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> Some n | _ -> None)
-    | None -> None)
+let default_workers_override = ref None
 
 let default_pool : t option ref = ref None
 let default_m = Mutex.create ()
@@ -587,12 +591,6 @@ let set_default_workers n =
   Mutex.lock default_m;
   if !default_pool = None && n > 0 then default_workers_override := Some n;
   Mutex.unlock default_m
-
-let default_created () =
-  Mutex.lock default_m;
-  let c = !default_pool <> None in
-  Mutex.unlock default_m;
-  c
 
 let default () =
   Mutex.lock default_m;
@@ -611,22 +609,3 @@ let default () =
   in
   Mutex.unlock default_m;
   p
-
-(* ---------------- the Segdb engine hook ----------------
-
-   Linking this library routes [Segdb.parallel_query] (and the _stats
-   variant) through the default pool: no deadline, no cancellation,
-   faults re-raised — byte-for-byte the spawning executor's contract,
-   minus the per-call domain spawns. [Segdb] handles [domains = 1]
-   inline before consulting the engine. *)
-
-let engine ?readers db qs ~domains =
-  let pool = default () in
-  match
-    run_batch pool ?readers ~deadline_ns:0 ~degraded_ok:false db qs ~domains
-  with
-  | Ok out, stats -> (out, stats)
-  | (Degraded _ | Deadline_exceeded _ | Overloaded | Cancelled _), _ ->
-      assert false (* no deadline, no flag, faults raise: only Ok is reachable *)
-
-let () = Db.set_batch_engine engine

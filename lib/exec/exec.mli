@@ -16,9 +16,8 @@ module Db = Segdb_core.Segdb
     - {!run} — cooperative fan-out for a caller that wants the batch
       answered {e now}: the calling domain participates, idle pool
       workers join as helpers, and queries are pulled off a shared
-      cursor. This is what [Segdb.parallel_query] routes through (the
-      hook is installed by this module's initializer, so merely linking
-      [segdb_exec] upgrades every batch call site in the program).
+      cursor. This is the only in-process batch executor: the CLI's
+      [batch], [fuzz --parallel] and the bench all call it.
     - {!submit} / {!await} — admission-controlled asynchronous
       execution for servers: the request is queued for a single worker,
       refused with {!Overloaded} when the queue is full, and completed
@@ -141,6 +140,17 @@ val shutdown : t -> unit
 
 (** {1 Cooperative execution} *)
 
+type worker_stats = {
+  worker : int;  (** participant slot, [0 .. domains - 1] *)
+  queries : int;  (** queries this participant answered *)
+  reads : int;  (** cold block reads charged to its reader *)
+  cache_hits : int;  (** lookups served by the reader's own shard *)
+  cache_misses : int;
+}
+(** Per-participant accounting for one {!run}: how the work and the
+    I/O spread across domains (deltas over the batch, so passed-in
+    readers may be reused). *)
+
 val run :
   ?readers:Db.reader array ->
   ?cancel:bool Atomic.t ->
@@ -148,15 +158,16 @@ val run :
   Db.t ->
   request ->
   domains:int ->
-  outcome * Db.worker_stats array
+  outcome * worker_stats array
 (** [run pool db req ~domains] answers the batch with up to [domains]
     participants: the calling domain always works, and up to
     [min (domains - 1) (size pool)] pool workers join as helpers as
     they come free (a busy pool degrades to fewer helpers, never to a
     wrong answer — the caller finishes whatever nobody else picks up).
     Queries are pulled off a shared cursor, so skewed batches
-    self-balance exactly as in the spawn-per-call executor this
-    replaces.
+    self-balance. Element [i] of an [Ok] answer is exactly
+    [Db.query_ids db (queries req).(i)]. No writer may run
+    concurrently.
 
     [readers], when given, must have one reader per [domains] slot
     (slot [k] is used by participant [k]; slots no helper reached stay
@@ -164,9 +175,11 @@ val run :
     batch at the next query boundary or block fetch.
 
     The [worker_stats] array has [domains] rows; rows for slots no
-    helper filled report zero queries. With a single-worker pool or
-    [domains = 1] the batch runs entirely inline — no queueing, no
-    atomics beyond the cursor.
+    helper filled report zero queries. When observability is on, each
+    participant also merges its query latencies into
+    [Segdb_obs.Metrics.default] under ["parallel.query.ns"]. With a
+    single-worker pool or [domains = 1] the batch runs entirely
+    inline — no queueing, no atomics beyond the cursor.
 
     Raises [Invalid_argument] on [domains < 1] or a mis-sized
     [readers]; re-raises worker exceptions when the request has
@@ -210,18 +223,13 @@ val served_by : ticket -> int
 (** {1 The process-default pool} *)
 
 val default : unit -> t
-(** The lazily-created process-wide pool that [Segdb.parallel_query]
-    fans out on. Sized on first use from
+(** The lazily-created process-wide pool. Sized on first use from
+    {!set_default_workers} when it was called, else from
     [Domain.recommended_domain_count ()] (minus one for the calling
-    domain, minimum 1), or from the [SEGDB_EXEC_WORKERS] environment
-    variable, or from {!set_default_workers} — whichever bound it last
-    before creation. Never shut down explicitly; its parked domains
+    domain, minimum 1). Never shut down explicitly; its parked domains
     die with the process. *)
 
 val set_default_workers : int -> unit
 (** Overrides the default pool's size. Takes effect only before the
-    pool exists (first call to {!default} or first multi-domain
-    [Segdb.parallel_query]); later calls are ignored. *)
-
-val default_created : unit -> bool
-(** Whether the default pool has been forced yet. *)
+    pool exists (the first call to {!default}); later calls are
+    ignored. *)

@@ -5,7 +5,7 @@
     multiplexes the listen socket and every live connection with
     [select], peels complete frames off per-connection buffers, and
     submits query-bearing requests to a {!Segdb_exec.Exec} pool — the
-    same execution engine behind [Segdb.parallel_query] and the CLI.
+    same execution engine that answers the CLI's local batches.
     The server owns {e no} worker domains, request queue, or deadline
     bookkeeping of its own: admission control, per-worker readers,
     deadline propagation and cancellation all live in the engine; the

@@ -9,6 +9,10 @@ val json : Metrics.t -> string
     mean/p50/p90/p99 plus the non-empty buckets as [[lo, hi, count]]
     triples. *)
 
+val json_escape : string -> string
+(** The body of a JSON string literal for [s] (no surrounding quotes):
+    quote, backslash and control characters escaped. *)
+
 val prometheus : ?labels:(string * string) list -> Metrics.t -> string
 (** Prometheus text exposition format. Names are sanitized to
     [[A-Za-z0-9_]] and prefixed [segdb_]; histograms become cumulative

@@ -10,7 +10,7 @@
    A histogram is owned by one domain at a time; cross-domain
    aggregation goes through [merge_into] (each worker records into its
    own and the owner folds them together), which is what
-   [Segdb.parallel_query] does with per-worker latency recordings. *)
+   [Segdb_exec.Exec.run] does with per-worker latency recordings. *)
 
 let nbuckets = 64
 

@@ -114,11 +114,12 @@ let render ev =
 
 (* ---------------- sinks ---------------- *)
 
+module Ring = Segdb_util.Ring
+
 let mu = Mutex.create ()
 let to_stderr = ref true
 let file_chan : out_channel option ref = ref None
-let ring : event option array ref = ref [||]
-let ring_next = ref 0
+let ring : event Ring.t = Ring.create 0
 
 let locked f =
   Mutex.lock mu;
@@ -136,28 +137,14 @@ let set_file path =
 
 let set_ring n =
   locked (fun () ->
-      ring := (if n <= 0 then [||] else Array.make n None);
-      ring_next := 0)
+      Ring.clear ring;
+      Ring.resize ring (max 0 n))
 
-let ring_events () =
-  locked (fun () ->
-      let n = Array.length !ring in
-      let acc = ref [] in
-      (* oldest first: walk forward from the write cursor *)
-      for k = 0 to n - 1 do
-        match !ring.((!ring_next + k) mod n) with
-        | Some ev -> acc := ev :: !acc
-        | None -> ()
-      done;
-      List.rev !acc)
+let ring_events () = locked (fun () -> Ring.to_list ring)
 
 let emit ev =
   locked (fun () ->
-      let n = Array.length !ring in
-      if n > 0 then begin
-        !ring.(!ring_next mod n) <- Some ev;
-        ring_next := !ring_next + 1
-      end;
+      Ring.push ring ev;
       if !to_stderr || !file_chan <> None then begin
         let line = render ev ^ "\n" in
         if !to_stderr then (output_string stderr line; flush stderr);

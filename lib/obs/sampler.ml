@@ -14,6 +14,8 @@ type sample = {
   hists : (string * int array) list;
 }
 
+module Ring = Segdb_util.Ring
+
 let m = Mutex.create ()
 let locked f =
   Mutex.lock m;
@@ -23,15 +25,17 @@ let armed = Atomic.make false
 let stop_flag = Atomic.make false
 let runner : unit Domain.t option ref = ref None
 let interval_ms_ = ref 1000
-let capacity = ref 120
 let watched = ref [ "exec.request.ns"; "net.request.ns" ]
-let ring : sample list ref = ref [] (* newest first *)
+let ring : sample Ring.t = Ring.create 120
 let rates_ : (string * float) list ref = ref []
 let sources : (string * (unit -> (string * int) list)) list ref = ref []
 
+(* callers hold [m] *)
+let newest_first () = List.rev (Ring.to_list ring)
+
 let running () = Atomic.get armed
 let interval_ms () = locked (fun () -> !interval_ms_)
-let samples () = locked (fun () -> List.rev !ring)
+let samples () = locked (fun () -> Ring.to_list ring)
 let rates () = locked (fun () -> !rates_)
 
 let register_source name f =
@@ -40,14 +44,7 @@ let register_source name f =
 let unregister_source name =
   locked (fun () -> sources := List.remove_assoc name !sources)
 
-let set_capacity n =
-  locked (fun () ->
-      capacity := max 2 n;
-      let rec take k = function
-        | x :: tl when k > 0 -> x :: take (k - 1) tl
-        | _ -> []
-      in
-      ring := take !capacity !ring)
+let set_capacity n = locked (fun () -> Ring.resize ring (max 2 n))
 
 let set_watched names = locked (fun () -> watched := names)
 
@@ -112,7 +109,7 @@ let diff_buckets newer older =
 (* window = newest ring entry minus oldest that carries the histogram *)
 let window_buckets name =
   locked (fun () ->
-      match !ring with
+      match newest_first () with
       | [] -> None
       | newest :: rest -> (
           match List.assoc_opt name newest.hists with
@@ -150,13 +147,8 @@ let tick ?now_ns () =
   in
   let fresh_rates =
     locked (fun () ->
-        let prev = match !ring with s :: _ -> Some s | [] -> None in
-        ring := { at_ns = now; counters; gauges; hists } :: !ring;
-        let rec take k = function
-          | x :: tl when k > 0 -> x :: take (k - 1) tl
-          | _ -> []
-        in
-        ring := take !capacity !ring;
+        let prev = match newest_first () with s :: _ -> Some s | [] -> None in
+        Ring.push ring { at_ns = now; counters; gauges; hists };
         (match prev with
         | Some p when now > p.at_ns ->
             let dt = float_of_int (now - p.at_ns) /. 1e9 in
@@ -225,30 +217,15 @@ let stop () =
 
 (* ---------------- /varz ---------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let varz_json () =
-  let ring_now, rates_now, iv = locked (fun () -> (List.rev !ring, !rates_, !interval_ms_)) in
+  let ring_now, rates_now, iv = locked (fun () -> (Ring.to_list ring, !rates_, !interval_ms_)) in
   let b = Buffer.create 4096 in
   let kvs pairs =
     Buffer.add_char b '{';
     List.iteri
       (fun i (k, v) ->
         if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b (Printf.sprintf "\"%s\":%s" (json_escape k) v))
+        Buffer.add_string b (Printf.sprintf "\"%s\":%s" (Export.json_escape k) v))
       pairs;
     Buffer.add_char b '}'
   in

@@ -33,10 +33,10 @@ let threshold_ms () =
   let t = Atomic.get threshold_ns in
   if t < 0 then -1 else t / 1_000_000
 
+module Ring = Segdb_util.Ring
+
 let mu = Mutex.create ()
-let default_capacity = 128
-let slots = ref (Array.make default_capacity None)
-let next = ref 0
+let ring : entry Ring.t = Ring.create 128
 
 let locked f =
   Mutex.lock mu;
@@ -45,33 +45,18 @@ let locked f =
 let set_capacity n =
   if n < 1 then invalid_arg "Slowlog.set_capacity: capacity must be positive";
   locked (fun () ->
-      slots := Array.make n None;
-      next := 0)
+      Ring.clear ring;
+      Ring.resize ring n)
 
-let clear () =
-  locked (fun () ->
-      Array.fill !slots 0 (Array.length !slots) None;
-      next := 0)
+let clear () = locked (fun () -> Ring.clear ring)
 
-let record e =
-  locked (fun () ->
-      !slots.(!next mod Array.length !slots) <- Some e;
-      next := !next + 1)
+let record e = locked (fun () -> Ring.push ring e)
 
 let note ~wall_ns mk =
   let t = Atomic.get threshold_ns in
   if t >= 0 && wall_ns >= t then record (mk ())
 
-let entries () =
-  locked (fun () ->
-      let n = Array.length !slots in
-      let acc = ref [] in
-      for k = 0 to n - 1 do
-        match !slots.((!next + k) mod n) with
-        | Some e -> acc := e :: !acc
-        | None -> ()
-      done;
-      List.rev !acc)
+let entries () = locked (fun () -> Ring.to_list ring)
 
 (* ---------------- rendering ---------------- *)
 
@@ -102,19 +87,6 @@ let to_text es =
     Table.render t
   end
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json es =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "[";
@@ -127,7 +99,7 @@ let to_json es =
             \"outcome\": \"%s\", \"wall_ns\": %d, \"queue_wait_ns\": %d, \
             \"blocks\": %d, \"cache_hits\": %d, \"cache_misses\": %d, \
             \"at_ns\": %d}"
-           e.request_id (json_escape e.query) e.queries (json_escape e.outcome)
+           e.request_id (Export.json_escape e.query) e.queries (Export.json_escape e.outcome)
            e.wall_ns e.queue_wait_ns e.blocks e.cache_hits e.cache_misses e.at_ns))
     es;
   Buffer.add_string buf "\n]\n";

@@ -78,12 +78,12 @@ let with_request_id rid f =
    behind a single pointer store, so a reader sees either the old or
    the new event, never a torn one. *)
 
-type ring = { mutable slots : event option array; mutable next : int }
+module Ring = Segdb_util.Ring
 
 let mu = Mutex.create ()
 let default_capacity = 4096
 let cap = Atomic.make default_capacity
-let rings : ring list ref = ref []
+let rings : event Ring.t list ref = ref []
 let next_seq = Atomic.make 0
 
 let locked f =
@@ -92,7 +92,7 @@ let locked f =
 
 let ring_key =
   Domain.DLS.new_key (fun () ->
-      let r = { slots = Array.make (Atomic.get cap) None; next = 0 } in
+      let r = Ring.create (Atomic.get cap) in
       locked (fun () -> rings := r :: !rings);
       r)
 
@@ -102,8 +102,8 @@ let set_capacity n =
       Atomic.set cap n;
       List.iter
         (fun r ->
-          r.slots <- Array.make n None;
-          r.next <- 0)
+          Ring.clear r;
+          Ring.resize r n)
         !rings;
       Atomic.set next_seq 0)
 
@@ -111,30 +111,18 @@ let capacity () = Atomic.get cap
 
 let clear () =
   locked (fun () ->
-      List.iter
-        (fun r ->
-          Array.fill r.slots 0 (Array.length r.slots) None;
-          r.next <- 0)
-        !rings;
+      List.iter Ring.clear !rings;
       Atomic.set next_seq 0)
 
 (* Push onto the calling domain's ring. The ring keeps its own write
    cursor (not [seq mod capacity]) so each domain retains its last
    [capacity] events even when seqs interleave across domains. *)
-let push ev =
-  let r = Domain.DLS.get ring_key in
-  let slots = r.slots in
-  slots.(r.next mod Array.length slots) <- Some ev;
-  r.next <- r.next + 1
+let push ev = Ring.push (Domain.DLS.get ring_key) ev
 
 let events () =
   locked (fun () ->
-      let acc = ref [] in
-      List.iter
-        (fun r ->
-          Array.iter (function Some ev -> acc := ev :: !acc | None -> ()) r.slots)
-        !rings;
-      List.sort (fun (a : event) b -> compare a.seq b.seq) !acc)
+      List.concat_map Ring.to_list !rings
+      |> List.sort (fun (a : event) b -> compare a.seq b.seq))
 
 (* ---------------- spans ---------------- *)
 

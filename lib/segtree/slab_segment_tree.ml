@@ -51,7 +51,10 @@ type t = {
   mutable root : gnode option;
   mutable static_size : int; (* fragments in the packed lists *)
   mutable overlay_size : int; (* fragments inserted since last rebuild *)
-  tombstones : (int, unit) Hashtbl.t; (* deleted fragment ids awaiting a rebuild *)
+  tombstones : (int, unit) Hashtbl.t;
+      (* ids deleted from the packed lists, awaiting a rebuild; they
+         never hide overlay entries, so an id deleted and then
+         re-inserted stays visible *)
   cascade : bool;
   (* query-path diagnostics: atomic because queries — the only writers
      of these counters — may run from several domains at once *)
@@ -280,7 +283,7 @@ let descend t ~x ~ylo ~yhi ~k ~emit =
           (fun k () ->
             if Segment.y_at k.seg x > yhi then `Stop
             else begin
-              if not (Hashtbl.mem t.tombstones k.seg.Segment.id) then emit k.seg;
+              emit k.seg;
               `Continue
             end)
     | _ -> ());
@@ -391,35 +394,27 @@ let check_invariants t =
 
 (* ---------------- semi-dynamic insertion ---------------- *)
 
-let rec iter_unique_rec ?(skip = fun _ -> false) node seen f =
-  ignore skip;
-  iter_unique_core skip node seen f
-
-and iter_unique_core skip node seen f =
-  Plist.iter_forward node.list 0 (fun _ e ->
-      let id = e.frag.Segment.id in
-      if (not (Hashtbl.mem seen id)) && not (skip id) then begin
-        Hashtbl.add seen id ();
-        f e.frag
-      end;
-      `Continue);
-  (match node.overlay with
-  | Some ob ->
-      Obt.iter_range ob ~lo:None ~hi:None (fun (k : Okey.t) () ->
-          let id = k.seg.Segment.id in
-          if (not (Hashtbl.mem seen id)) && not (skip id) then begin
-            Hashtbl.add seen id ();
-            f k.seg
-          end)
-  | None -> ());
-  (match node.left with Some l -> iter_unique_core skip l seen f | None -> ());
-  match node.right with Some r -> iter_unique_core skip r seen f | None -> ()
-
+(* Every live fragment once: packed entries minus tombstones, plus the
+   overlays. *)
 let iter_unique t f =
-  let skip id = Hashtbl.mem t.tombstones id in
-  match t.root with
-  | Some r -> iter_unique_rec ~skip r (Hashtbl.create 64) f
-  | None -> ()
+  let seen = Hashtbl.create 64 in
+  let visit (s : Segment.t) =
+    if not (Hashtbl.mem seen s.Segment.id) then begin
+      Hashtbl.add seen s.Segment.id ();
+      f s
+    end
+  in
+  let rec go node =
+    Plist.iter_forward node.list 0 (fun _ e ->
+        if not (Hashtbl.mem t.tombstones e.frag.Segment.id) then visit e.frag;
+        `Continue);
+    (match node.overlay with
+    | Some ob -> Obt.iter_range ob ~lo:None ~hi:None (fun (k : Okey.t) () -> visit k.seg)
+    | None -> ());
+    (match node.left with Some l -> go l | None -> ());
+    match node.right with Some r -> go r | None -> ()
+  in
+  match t.root with Some r -> go r | None -> ()
 
 let rec free_lists node =
   Plist.free node.list;
@@ -438,12 +433,24 @@ let rebuild t =
   t.overlay_size <- 0;
   Hashtbl.reset t.tombstones
 
-let insert t (f : Segment.t) =
+(* Calls [visit] on each node of the fragment's standard segment-tree
+   allocation, with the overlay key the fragment has there. *)
+let iter_allocation t (f : Segment.t) visit =
   let a = boundary_index t.boundaries f.Segment.x1
   and b = boundary_index t.boundaries f.Segment.x2 in
-  if a >= b then invalid_arg "Slab_segment_tree.insert: fragment spans no gap";
-  let rec assign node =
-    if a <= node.glo && node.ghi <= b - 1 then begin
+  if a >= b then invalid_arg "Slab_segment_tree: fragment spans no gap";
+  let rec go node =
+    if a <= node.glo && node.ghi <= b - 1 then
+      visit node { Okey.ykey = Segment.y_at f t.boundaries.(node.glo); seg = f }
+    else begin
+      (match node.left with Some l when a <= l.ghi -> go l | _ -> ());
+      match node.right with Some r when b - 1 >= r.glo -> go r | _ -> ()
+    end
+  in
+  match t.root with Some r -> go r | None -> ()
+
+let insert t (f : Segment.t) =
+  iter_allocation t f (fun node key ->
       let ob =
         match node.overlay with
         | Some ob -> ob
@@ -452,14 +459,7 @@ let insert t (f : Segment.t) =
             node.overlay <- Some ob;
             ob
       in
-      Obt.insert ob { Okey.ykey = Segment.y_at f t.boundaries.(node.glo); seg = f } ()
-    end
-    else begin
-      (match node.left with Some l when a <= l.ghi -> assign l | _ -> ());
-      match node.right with Some r when b - 1 >= r.glo -> assign r | _ -> ()
-    end
-  in
-  (match t.root with Some r -> assign r | None -> ());
+      Obt.insert ob key ());
   t.overlay_size <- t.overlay_size + 1;
   (* doubling rebuild folds the overlay into the cascaded static lists *)
   if t.overlay_size + Hashtbl.length t.tombstones > max (2 * t.list_block) t.static_size then
@@ -468,10 +468,20 @@ let insert t (f : Segment.t) =
 let overlay_size t = t.overlay_size
 
 let delete t (f : Segment.t) =
-  (* The caller (Solution 2) guarantees the fragment is stored; lazy
-     tombstoning keeps the packed lists untouched until the next
-     doubling rebuild. *)
-  if Hashtbl.mem t.tombstones f.Segment.id then false
+  (* The caller (Solution 2) guarantees the fragment is stored. One
+     still in the overlays is removed from them outright; one in the
+     packed lists is tombstoned, which keeps the lists untouched until
+     the next doubling rebuild. *)
+  let in_overlay = ref false in
+  iter_allocation t f (fun node key ->
+      match node.overlay with
+      | Some ob -> if Obt.delete ob key then in_overlay := true
+      | None -> ());
+  if !in_overlay then begin
+    t.overlay_size <- t.overlay_size - 1;
+    true
+  end
+  else if Hashtbl.mem t.tombstones f.Segment.id then false
   else begin
     Hashtbl.add t.tombstones f.Segment.id ();
     if Hashtbl.length t.tombstones + t.overlay_size > max (2 * t.list_block) t.static_size

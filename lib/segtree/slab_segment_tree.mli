@@ -84,12 +84,17 @@ val insert : t -> Segment.t -> unit
     DESIGN.md). Amortized logarithmic. *)
 
 val delete : t -> Segment.t -> bool
-(** Lazy deletion by fragment id: the entry is tombstoned (filtered from
-    answers at zero I/O cost) and physically purged at the next doubling
-    rebuild. Returns [false] if the id is already tombstoned. *)
+(** Removes a stored fragment. One inserted since the last rebuild is
+    deleted from its overlays; one in the packed lists is tombstoned by
+    id (filtered from answers at zero I/O cost) and physically purged
+    at the next doubling rebuild. Tombstones hide packed entries only,
+    so a fragment deleted and then re-inserted under the same id is
+    answered again. Returns [false] if the id is already tombstoned and
+    no overlay holds it. *)
 
 val overlay_size : t -> int
 (** Fragments currently in overlays (diagnostics). *)
 
 val iter_unique : t -> (Segment.t -> unit) -> unit
-(** Every stored fragment once (rebuild collection). *)
+(** Every live fragment once: tombstoned packed entries are skipped
+    (rebuild collection). *)

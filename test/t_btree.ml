@@ -141,71 +141,3 @@ let suite =
       qtest prop_bulk_load;
       qtest prop_range;
     ] )
-
-(* ---------------- weight-balanced B-tree ---------------- *)
-
-module Wbb = Segdb_btree.Wb_btree.Make (Int) (struct
-  type t = string
-end)
-
-let mk_wbb ?(branching = 4) ?(leaf_weight = 4) () =
-  let pool = Block_store.Pool.create ~capacity:64 in
-  let io = Io_stats.create () in
-  Wbb.create ~branching ~leaf_weight ~pool ~stats:io ()
-
-let prop_wbb_model =
-  QCheck.Test.make ~name:"wb-btree equals Map model" ~count:150 ops_arb (fun ops ->
-      let t = mk_wbb () in
-      let m =
-        List.fold_left
-          (fun m op ->
-            match op with
-            | Insert k ->
-                Wbb.insert t k (value_of k);
-                Model.add k (value_of k) m
-            | Delete k ->
-                let present = Wbb.delete t k in
-                if present <> Model.mem k m then Alcotest.fail "wbb delete presence";
-                Model.remove k m)
-          Model.empty ops
-      in
-      Wbb.size t = Model.cardinal m
-      && Model.for_all (fun k v -> Wbb.find t k = Some v) m
-      && (let got = ref [] in
-          Wbb.iter t (fun k v -> got := (k, v) :: !got);
-          List.rev !got = Model.bindings m))
-
-let prop_wbb_invariants =
-  QCheck.Test.make ~name:"wb-btree weight invariants" ~count:150 ops_arb (fun ops ->
-      let t = mk_wbb () in
-      List.iter
-        (function
-          | Insert k -> Wbb.insert t k (value_of k)
-          | Delete k -> ignore (Wbb.delete t k))
-        ops;
-      Wbb.check_invariants t)
-
-let test_wbb_split_amortization () =
-  (* the reason the structure exists: a node of weight w splits only
-     after Omega(w) insertions below it, so total split mass is
-     O(n log n) — we check the height and invariants after a large
-     sequential load, the worst case for naive B-trees *)
-  let t = mk_wbb ~branching:8 ~leaf_weight:16 () in
-  for i = 1 to 20_000 do
-    Wbb.insert t i (value_of i)
-  done;
-  Alcotest.(check bool) "invariants at 20k" true (Wbb.check_invariants t);
-  Alcotest.(check bool)
-    (Printf.sprintf "height %d logarithmic" (Wbb.height t))
-    true (Wbb.height t <= 7);
-  Alcotest.(check int) "all present" 20_000 (Wbb.size t)
-
-let suite =
-  let name, cases = suite in
-  ( name,
-    cases
-    @ [
-        Alcotest.test_case "wbb split amortization" `Quick test_wbb_split_amortization;
-        qtest prop_wbb_model;
-        qtest prop_wbb_invariants;
-      ] )

@@ -258,7 +258,7 @@ let prop_mixed_ops =
       let run (module M : Vs.S) =
         let cfg = Vs.config ~block () in
         let t = M.build cfg (Array.sub segs 0 k) in
-        (* interleave: insert one new, delete one old *)
+        (* interleave: insert one new, delete one old, re-insert an old one *)
         let live = Hashtbl.create 16 in
         Array.iteri (fun i s -> if i < k then Hashtbl.replace live i s) segs;
         for i = k to Array.length segs - 1 do
@@ -268,6 +268,12 @@ let prop_mixed_ops =
           if victim < k && victim mod 2 = 0 then begin
             if not (M.delete t segs.(victim)) then failwith "delete failed";
             Hashtbl.remove live victim
+          end;
+          (* the victim deleted two steps ago returns under its id and geometry *)
+          let back = victim - 2 in
+          if back >= 0 && back < k && back mod 2 = 0 then begin
+            M.insert t segs.(back);
+            Hashtbl.replace live back segs.(back)
           end
         done;
         let queries = queries_of segs (x, y1, w) in

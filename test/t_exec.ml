@@ -62,7 +62,7 @@ let test_run_matches_serial () =
                   Alcotest.(check int)
                     (Printf.sprintf "%s: every query answered once" name)
                     (Array.length queries)
-                    (Array.fold_left (fun a s -> a + s.Db.queries) 0 stats)
+                    (Array.fold_left (fun a s -> a + s.Exec.queries) 0 stats)
               | o, _ ->
                   Alcotest.failf "%s: expected Ok, got %s" name
                     (Format.asprintf "%a" Exec.pp_outcome o))
@@ -111,7 +111,7 @@ let test_deadline_cuts_slow_batch () =
             (Db.query_ids db queries.(0))
             partial.(0);
           Alcotest.(check int) "stats agree with completions" completed
-            (Array.fold_left (fun a s -> a + s.Db.queries) 0 stats)
+            (Array.fold_left (fun a s -> a + s.Exec.queries) 0 stats)
       | o, _ ->
           Alcotest.failf "expected Deadline_exceeded, got %s"
             (Format.asprintf "%a" Exec.pp_outcome o))

@@ -11,6 +11,7 @@ module Metrics = Segdb_obs.Metrics
 module W = Segdb_workload.Workload
 module Rng = Segdb_util.Rng
 module Db = Segdb_core.Segdb
+module Exec = Segdb_exec.Exec
 module Vquery = Segdb_geom.Vquery
 
 let qtest = QCheck_alcotest.to_alcotest
@@ -367,10 +368,16 @@ let test_loopback_parity () =
           Client.ping c;
           let qs = random_queries 7 in
           let served = Client.batch c qs in
-          let local = Db.parallel_query db qs ~domains:2 in
+          let local =
+            match
+              Exec.run (Exec.default ()) db (Exec.request ~degraded_ok:false qs) ~domains:2
+            with
+            | Exec.Ok out, _ -> out
+            | o, _ -> Alcotest.failf "in-process batch not answered: %a" Exec.pp_outcome o
+          in
           Alcotest.(check bool) "batch complete" true served.Db.Degraded.complete;
           Alcotest.(check bool) "no faults" true (served.Db.Degraded.faults = []);
-          Alcotest.(check bool) "served batch = parallel_query" true
+          Alcotest.(check bool) "served batch = Exec.run" true
             (served.Db.Degraded.value = local);
           let frame_of results =
             Wire.encode_response (Wire.Batch_ids { results; complete = true; faults = [] })

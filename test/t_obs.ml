@@ -9,6 +9,7 @@ module W = Segdb_workload.Workload
 module Rng = Segdb_util.Rng
 module Vs = Segdb_core.Vs_index
 module Db = Segdb_core.Segdb
+module Exec = Segdb_exec.Exec
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -568,20 +569,23 @@ let test_parallel_query_stats () =
   let rng = Rng.create 8 in
   let qs = Array.init 40 (fun _ -> Segdb_geom.Vquery.line ~x:(Rng.float rng 100.0)) in
   let expect = Array.map (fun q -> Db.query_ids db q) qs in
-  let out, stats = Db.parallel_query_stats db qs ~domains:3 in
-  Alcotest.(check bool) "answers match serial" true (out = expect);
+  let run domains =
+    Exec.run (Exec.default ()) db (Exec.request ~degraded_ok:false qs) ~domains
+  in
+  let outcome, stats = run 3 in
+  Alcotest.(check bool) "answers match serial" true (outcome = Exec.Ok expect);
   Alcotest.(check int) "one row per worker" 3 (Array.length stats);
-  let total = Array.fold_left (fun acc (w : Db.worker_stats) -> acc + w.queries) 0 stats in
+  let total = Array.fold_left (fun acc (w : Exec.worker_stats) -> acc + w.queries) 0 stats in
   Alcotest.(check int) "workers served the whole batch" (Array.length qs) total;
   Array.iteri
-    (fun k (w : Db.worker_stats) ->
+    (fun k (w : Exec.worker_stats) ->
       Alcotest.(check int) "worker id" k w.worker;
       Alcotest.(check bool) "counters non-negative" true
         (w.reads >= 0 && w.cache_hits >= 0 && w.cache_misses >= 0))
     stats;
   (* with obs on, worker latencies land in the default registry *)
   with_tracing (fun () ->
-      let _ = Db.parallel_query_stats db qs ~domains:2 in
+      let _ = run 2 in
       match Metrics.histogram Metrics.default "parallel.query.ns" with
       | Some h -> Alcotest.(check int) "latency samples" (Array.length qs) (Histogram.count h)
       | None -> Alcotest.fail "parallel.query.ns missing")

@@ -1,7 +1,7 @@
 (* Read-path/write-path split: queries are pure, readers leave no
-   trace on shared state, mutation under a reader is rejected, and
-   [Segdb.parallel_query] returns exactly the serial answers on every
-   backend at every domain count. *)
+   trace on shared state, mutation under a reader is rejected, and a
+   batch fanned out by [Exec.run] returns exactly the serial answers on
+   every backend at every domain count. *)
 
 open Segdb_io
 open Segdb_geom
@@ -9,6 +9,7 @@ module W = Segdb_workload.Workload
 module Rng = Segdb_util.Rng
 module Vs = Segdb_core.Vs_index
 module Db = Segdb_core.Segdb
+module Exec = Segdb_exec.Exec
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -102,7 +103,12 @@ let prop_queries_leave_no_trace =
           && rio.Io_stats.writes = 0 && rio.Io_stats.allocs = 0)
         backends)
 
-(* ---------------- parallel_query vs serial ---------------- *)
+(* ---------------- Exec.run vs serial ---------------- *)
+
+let run_batch db qs ~domains =
+  match Exec.run (Exec.default ()) db (Exec.request ~degraded_ok:false qs) ~domains with
+  | Exec.Ok out, _ -> out
+  | o, _ -> Alcotest.failf "batch not answered: %a" Exec.pp_outcome o
 
 let test_parallel_matches_serial () =
   let rng = Rng.create 7 in
@@ -114,7 +120,7 @@ let test_parallel_matches_serial () =
       let serial = Array.map (Db.query_ids db) queries in
       List.iter
         (fun domains ->
-          let par = Db.parallel_query db queries ~domains in
+          let par = run_batch db queries ~domains in
           Array.iteri
             (fun i got ->
               Alcotest.(check (list int))
@@ -137,19 +143,10 @@ let test_parallel_after_mutation () =
   done;
   let queries = Array.init 64 (fun _ -> random_query rng pool) in
   let serial = Array.map (Db.query_ids db) queries in
-  let par = Db.parallel_query db queries ~domains:4 in
+  let par = run_batch db queries ~domains:4 in
   Array.iteri
     (fun i got -> Alcotest.(check (list int)) (Printf.sprintf "query %d" i) serial.(i) got)
     par
-
-let test_parallel_validation () =
-  let db = Db.create ~backend:`Naive [||] in
-  Alcotest.check_raises "domains 0" (Invalid_argument "Segdb.parallel_query: domains must be >= 1")
-    (fun () -> ignore (Db.parallel_query db [||] ~domains:0));
-  Alcotest.check_raises "readers arity"
-    (Invalid_argument "Segdb.parallel_query: readers array must have one reader per domain")
-    (fun () ->
-      ignore (Db.parallel_query ~readers:[| Db.reader db |] db [||] ~domains:2))
 
 (* ---------------- writer guard ---------------- *)
 
@@ -220,7 +217,6 @@ let suite =
       qtest prop_queries_leave_no_trace;
       Alcotest.test_case "parallel_query matches serial" `Quick test_parallel_matches_serial;
       Alcotest.test_case "parallel_query after mutation" `Quick test_parallel_after_mutation;
-      Alcotest.test_case "parallel_query validation" `Quick test_parallel_validation;
       Alcotest.test_case "store mutation under reader raises" `Quick
         test_mutation_under_reader_raises;
       Alcotest.test_case "db mutation under reader raises" `Quick

@@ -281,14 +281,18 @@ let prop_g_delete_oracle =
         Array.to_list frags |> List.partition (fun (s : Segment.t) -> s.Segment.id mod 3 = 0)
       in
       let ok_del = List.for_all (G.delete g) doomed in
+      (* deleted then re-inserted under the same id: must be answered again *)
+      let back = List.filter (fun (s : Segment.t) -> s.Segment.id mod 2 = 0) doomed in
+      List.iter (G.insert g) back;
+      let live = kept @ back in
       let got =
         G.query_list g ~x ~ylo:y1 ~yhi:(y1 +. w)
         |> List.map (fun (s : Segment.t) -> s.Segment.id)
         |> List.sort compare
       in
       ok_del
-      && G.size g = List.length kept
-      && got = (oracle_g (Array.of_list kept) ~x ~ylo:y1 ~yhi:(y1 +. w)))
+      && G.size g = List.length live
+      && got = (oracle_g (Array.of_list live) ~x ~ylo:y1 ~yhi:(y1 +. w)))
 
 let suite =
   let name, cases = suite in

@@ -1,4 +1,4 @@
-(* Unit and property tests for Segdb_util: rng, stats, table. *)
+(* Unit and property tests for Segdb_util: rng, stats, table, ring. *)
 
 open Segdb_util
 
@@ -125,6 +125,36 @@ let suite =
       qtest prop_stats_mean;
     ] )
 
+(* ---------------- Ring ---------------- *)
+
+let test_ring () =
+  let ints = Alcotest.(list int) in
+  let r = Ring.create 3 in
+  Alcotest.(check ints) "empty" [] (Ring.to_list r);
+  List.iter (Ring.push r) [ 1; 2 ];
+  Alcotest.(check ints) "not yet full" [ 1; 2 ] (Ring.to_list r);
+  List.iter (Ring.push r) [ 3; 4; 5 ];
+  Alcotest.(check ints) "wraparound keeps the newest, oldest first" [ 3; 4; 5 ]
+    (Ring.to_list r);
+  Ring.resize r 2;
+  Alcotest.(check ints) "shrink keeps the newest" [ 4; 5 ] (Ring.to_list r);
+  Ring.push r 6;
+  Alcotest.(check ints) "pushes after a shrink" [ 5; 6 ] (Ring.to_list r);
+  Ring.resize r 4;
+  Ring.push r 7;
+  Alcotest.(check ints) "grow keeps everything" [ 5; 6; 7 ] (Ring.to_list r);
+  Ring.clear r;
+  Alcotest.(check ints) "clear empties" [] (Ring.to_list r);
+  Ring.push r 8;
+  Alcotest.(check ints) "pushes after a clear" [ 8 ] (Ring.to_list r);
+  Ring.resize r 0;
+  Ring.push r 9;
+  Alcotest.(check ints) "capacity 0 keeps nothing" [] (Ring.to_list r);
+  Alcotest.(check ints) "created at 0" []
+    (let z = Ring.create 0 in
+     Ring.push z 1;
+     Ring.to_list z)
+
 (* ---------------- Ascii_plot ---------------- *)
 
 let test_plot_renders () =
@@ -156,6 +186,7 @@ let suite =
   ( name,
     cases
     @ [
+        Alcotest.test_case "ring wraparound, resize, clear" `Quick test_ring;
         Alcotest.test_case "ascii plot renders" `Quick test_plot_renders;
         Alcotest.test_case "ascii plot empty" `Quick test_plot_empty;
       ] )
