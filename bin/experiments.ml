@@ -10,9 +10,7 @@ let list_experiments () =
   List.iter
     (fun (e : Registry.experiment) ->
       Printf.printf "%-4s %s\n     validates: %s\n" e.id e.title e.validates)
-    Registry.all;
-  Printf.printf "%-4s %s\n     validates: %s\n" "e11" "E11: wall-clock timing (Bechamel)"
-    "sanity: simulated-I/O ordering carries to wall-clock (run: bench/main.exe)"
+    Registry.all
 
 let run quick seed list ids =
   if list then begin

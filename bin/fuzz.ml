@@ -25,9 +25,6 @@ open Segdb_geom
 module W = Segdb_workload.Workload
 module Rng = Segdb_util.Rng
 module Vs = Segdb_core.Vs_index
-module Io_stats = Segdb_io.Io_stats
-module Codec = Segdb_io.Codec
-module File_store = Segdb_io.File_store
 module Failpoint = Segdb_io.Failpoint
 module Snapshot = Segdb_core.Snapshot
 
@@ -501,137 +498,6 @@ let run_crash_db_round ~seed ~ops ~size ~site round =
   Db.detach_wal db2;
   remove_tree dir
 
-(* Sites on the raw syscall path: a [File_store] workload with a tiny
-   cache (so reads miss and writes evict). The contract after a crash
-   cut: reopening either detects damage ([Corrupt_store]) or yields a
-   store where every block untouched since the last sync reads back
-   intact — and a reopened store, once synced, scrubs clean. *)
-
-module FS = File_store.Make (struct
-  type t = int array
-
-  let codec = Codec.(array int)
-end)
-
-let run_crash_store_round ~seed ~ops ~site round =
-  let seed = seed + (round * 786433) + (Hashtbl.hash site mod 65536) in
-  let rng = Rng.create seed in
-  let dir = site_dir site round in
-  let path = Filename.concat dir "store.fst" in
-  let fail fmt =
-    Printf.ksprintf
-      (fun msg ->
-        Printf.eprintf "FUZZ FAILURE (crash round %d, site %s, seed %d): %s\n" round site
-          seed msg;
-        exit 1)
-      fmt
-  in
-  let fs = FS.create ~page_size:256 ~cache_blocks:8 ~stats:(Io_stats.create ()) ~path () in
-  let model : (int, int array) Hashtbl.t = Hashtbl.create 64 in
-  let durable : (int, int array) Hashtbl.t = Hashtbl.create 64 in
-  let touched : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  let payload () = Array.init (1 + Rng.int rng 120) (fun _ -> Rng.int rng 1_000_000) in
-  let random_addr () =
-    match Hashtbl.fold (fun a _ acc -> a :: acc) model [] with
-    | [] -> None
-    | l -> Some (List.nth l (Rng.int rng (List.length l)))
-  in
-  let snapshot_durable () =
-    Hashtbl.reset touched;
-    Hashtbl.reset durable;
-    Hashtbl.iter (fun a p -> Hashtbl.replace durable a (Array.copy p)) model
-  in
-  let do_op () =
-    match Rng.int rng 10 with
-    | 0 | 1 ->
-        let p = payload () in
-        let a = FS.alloc fs p in
-        Hashtbl.replace touched a ();
-        Hashtbl.replace model a p
-    | 2 | 3 -> (
-        match random_addr () with
-        | Some a ->
-            let p = payload () in
-            Hashtbl.replace touched a ();
-            FS.write fs a p;
-            Hashtbl.replace model a p
-        | None -> ())
-    | 4 -> (
-        match random_addr () with
-        | Some a when Hashtbl.length model > 4 ->
-            Hashtbl.replace touched a ();
-            FS.free fs a;
-            Hashtbl.remove model a
-        | _ -> ())
-    | 5 ->
-        FS.sync fs;
-        snapshot_durable ()
-    | _ -> (
-        match random_addr () with
-        | Some a ->
-            let v = FS.read fs a in
-            if v <> Hashtbl.find model a then fail "live read of block %d diverged" a
-        | None -> ())
-  in
-  for _ = 1 to 20 do
-    let p = payload () in
-    let a = FS.alloc fs p in
-    Hashtbl.replace model a p
-  done;
-  FS.sync fs;
-  snapshot_durable ();
-  Failpoint.arm ~seed [ (site, Failpoint.plan ~at:(1 + Rng.int rng 5) Failpoint.Crash) ];
-  let crashed = ref false in
-  (try
-     let i = ref 0 in
-     while (not !crashed) && !i < ops do
-       incr i;
-       do_op ()
-     done;
-     (* the random mix may not have drawn the armed operation enough
-        times to reach its trigger hit: drive the site directly *)
-     let j = ref 0 in
-     while (not !crashed) && !j < 64 do
-       incr j;
-       match site with
-       | "store.sync" ->
-           FS.sync fs;
-           snapshot_durable ()
-       | "pwrite" ->
-           let p = payload () in
-           let a = FS.alloc fs p in
-           Hashtbl.replace touched a ();
-           Hashtbl.replace model a p;
-           FS.sync fs;
-           snapshot_durable ()
-       | _ -> (
-           match random_addr () with
-           | Some a -> ignore (FS.read fs a)
-           | None -> ())
-     done
-   with Failpoint.Injected_crash _ -> crashed := true);
-  Failpoint.disarm ();
-  if not !crashed then fail "site never fired in %d operations" ops;
-  FS.crash fs;
-  (* a scrub of the crash-cut image must diagnose, never raise *)
-  ignore (File_store.Scrub.file path);
-  (match FS.open_existing ~stats:(Io_stats.create ()) ~path () with
-  | exception File_store.Corrupt_store _ -> () (* detected damage: acceptable *)
-  | fs2 ->
-      Hashtbl.iter
-        (fun a p ->
-          if not (Hashtbl.mem touched a) then
-            match FS.read fs2 a with
-            | v -> if v <> p then fail "untouched block %d changed across the crash" a
-            | exception File_store.Corrupt_store m ->
-                fail "untouched block %d unreadable after recovery: %s" a m)
-        durable;
-      FS.close fs2;
-      (match File_store.Scrub.file path with
-      | [] -> ()
-      | f :: _ -> fail "recovered store does not scrub clean: %s" f));
-  remove_tree dir
-
 (* ---------------- network round ----------------
 
    The database is served in-process over a Unix socket and a client
@@ -992,8 +858,6 @@ let run_replica_round ~seed ~ops ~size round =
   Net_server.wait replica;
   remove_tree dir
 
-let store_sites = [ "pread"; "pwrite"; "store.sync" ]
-
 (* the socket sites see no traffic in a crash round (nothing serves
    here), so demanding they fire would always fail; their fault
    coverage is --net's one-shot plans *)
@@ -1008,11 +872,7 @@ let run_crash_matrix ~rounds ~ops ~seed ~size =
     exit 1
   end;
   for round = 1 to rounds do
-    List.iter
-      (fun site ->
-        if List.mem site store_sites then run_crash_store_round ~seed ~ops ~site round
-        else run_crash_db_round ~seed ~ops ~size ~site round)
-      sites;
+    List.iter (fun site -> run_crash_db_round ~seed ~ops ~size ~site round) sites;
     if round mod 10 = 0 then Printf.printf "round %d/%d ok\n%!" round rounds
   done;
   Printf.printf

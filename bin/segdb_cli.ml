@@ -9,9 +9,8 @@
      save      — build an index and snapshot it to disk
      open      — reopen a snapshot (image restore or rebuild) + optional WAL
      recover   — replay a WAL over a snapshot, optionally checkpointing
-     scrub     — verify a store/snapshot file: CRCs, chains, index invariants
+     scrub     — verify a snapshot file: CRCs, index invariants
      repair    — rebuild a damaged snapshot from surviving sections + WAL
-     serve     — serve a segment file or snapshot over TCP / a Unix socket
      ping      — round-trip a ping frame against a running server
      shutdown  — ask a running server to drain and exit
 
@@ -20,7 +19,7 @@
 
    Fault injection: every subcommand honours SEGDB_FAILPOINTS (see
    Segdb_io.Failpoint), e.g.
-     SEGDB_FAILPOINTS="pread=flip@3" segdb_cli open roads.snap
+     SEGDB_FAILPOINTS="segdb.query=eio" segdb_cli open roads.snap -x 420
 
    Examples:
      segdb_cli generate --family roads -n 10000 -o roads.seg
@@ -39,7 +38,6 @@ module Seg_file = Segdb_core.Seg_file
 module Rng = Segdb_util.Rng
 module Table = Segdb_util.Table
 module Io_stats = Segdb_io.Io_stats
-module File_store = Segdb_io.File_store
 module Wal = Segdb_io.Wal
 module Failpoint = Segdb_io.Failpoint
 module Snapshot = Segdb_core.Snapshot
@@ -47,7 +45,6 @@ module Obs = Segdb_obs
 module Exec = Segdb_exec.Exec
 module Server = Segdb_net.Server
 module Client = Segdb_net.Client
-module Replication = Segdb_net.Replication
 
 (* ---------------- shared arguments ---------------- *)
 
@@ -865,9 +862,6 @@ let scrub path wal queries =
   let findings = ref [] in
   let add src fs = List.iter (fun f -> findings := (src ^ ": " ^ f) :: !findings) fs in
   (match sniff_magic path with
-  | "SEGFST01" ->
-      Printf.printf "%s: file store\n" path;
-      add path (File_store.Scrub.file path)
   | "SEGDBSNP" -> (
       Printf.printf "%s: snapshot\n" path;
       let fs, contents = Snapshot.salvage ~path in
@@ -904,22 +898,20 @@ let scrub_queries_t =
     value & opt int 25
     & info [ "queries" ] ~docv:"N"
         ~doc:
-          "For snapshots: cross-check N seeded random queries against a naive index \
-           (0 disables).")
+          "Cross-check N seeded random queries against a naive index (0 disables).")
 
 let scrub_path_t =
   Arg.(
     required & pos 0 (some file) None
-    & info [] ~docv:"PATH" ~doc:"Store or snapshot file (detected by magic).")
+    & info [] ~docv:"PATH" ~doc:"Snapshot file.")
 
 let scrub_cmd =
   Cmd.v
     (Cmd.info "scrub"
        ~doc:
-         "verify a store or snapshot file: superblock and per-page CRCs, extent chains \
-          vs the free pool, section checksums, index structural invariants (NCT, PST \
-          order, interval containment, cascade bridges), plus an optional WAL audit; \
-          exit 1 if anything is found")
+         "verify a snapshot file: section checksums, index structural invariants (NCT, \
+          PST order, interval containment, cascade bridges), plus an optional WAL \
+          audit; exit 1 if anything is found")
     Term.(const scrub $ scrub_path_t $ wal_t $ scrub_queries_t)
 
 let repair snap wal out =
@@ -999,149 +991,7 @@ let verify_cmd =
           exact on integer coordinates)")
     Term.(const verify $ file_t)
 
-(* ---------------- serve / ping / shutdown ---------------- *)
-
-let serve file addr backend block domains queue_depth deadline_ms no_obs slow_ms
-    replica_of epoch idle_timeout_s metrics_addr sample_ms =
-  if (not no_obs) && not (Obs.Control.forced_off ()) then Obs.Control.enable ();
-  Option.iter Obs.Slowlog.set_threshold_ms slow_ms;
-  let db = Server.open_or_build ~backend ~block file in
-  let srv =
-    Server.create ~domains ~queue_depth ~deadline_ms ~idle_timeout_s ?epoch ?replica_of
-      ~db addr
-  in
-  let metrics_bound = Option.map (Server.serve_metrics srv) metrics_addr in
-  (match metrics_bound with
-  | Some ma ->
-      Obs.Sampler.start ~interval_ms:sample_ms ();
-      Printf.printf "metrics on %s (/metrics, /healthz, /varz; sampling every %dms)\n%!"
-        (Server.addr_to_string ma) sample_ms
-  | None -> ());
-  let on_signal _ = Server.stop srv in
-  (try Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal)
-   with Invalid_argument _ | Sys_error _ -> ());
-  (try Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal)
-   with Invalid_argument _ | Sys_error _ -> ());
-  let repl = Server.replication srv in
-  (* the bound address goes out flushed so scripts can scrape a
-     kernel-assigned port before the first client connects *)
-  Printf.printf
-    "serving %s on %s as %s (epoch %d): backend %s, %d segments, pool of %d domains \
-     (queue %d, deadline %dms)\n\
-     %!"
-    file
-    (Server.addr_to_string (Server.bound_addr srv))
-    (Replication.role_name (Replication.role repl))
-    (Replication.epoch repl)
-    (Db.backend_name db) (Db.size db)
-    (Exec.size (Server.pool srv))
-    queue_depth deadline_ms;
-  Server.run srv;
-  if metrics_bound <> None then Obs.Sampler.stop ();
-  Printf.printf "drained: %d requests served\n"
-    (Obs.Metrics.value (Obs.Metrics.counter Obs.Metrics.default "net.requests"));
-  0
-
-let serve_addr_t =
-  Arg.(
-    value
-    & opt addr_conv (Server.Tcp ("127.0.0.1", 0))
-    & info [ "addr"; "listen" ] ~docv:"ADDR"
-        ~doc:
-          "Listen address: $(i,HOST:PORT) or $(i,unix:PATH). Port 0 (the default) asks \
-           the kernel for a free port; the bound address is printed on startup.")
-
-let serve_domains_t =
-  Arg.(
-    value & opt int 2
-    & info [ "domains" ] ~docv:"N" ~doc:"Worker domains answering queries.")
-
-let queue_depth_t =
-  Arg.(
-    value & opt int 128
-    & info [ "queue-depth" ] ~docv:"N"
-        ~doc:
-          "Bound on queued requests; past it the server answers $(i,overloaded) instead \
-           of buffering without limit.")
-
-let deadline_ms_t =
-  Arg.(
-    value & opt int 5000
-    & info [ "deadline-ms" ] ~docv:"MS"
-        ~doc:
-          "Per-request budget from the moment it is queued; a request still waiting past \
-           it is answered $(i,deadline exceeded) without being executed (0 disables).")
-
-let no_obs_t =
-  Arg.(
-    value & flag
-    & info [ "no-obs" ]
-        ~doc:
-          "Leave observability off (it is enabled by default when serving, so the \
-           $(i,stats) frame has something to report).")
-
-let replica_of_t =
-  Arg.(
-    value
-    & opt (some addr_conv) None
-    & info [ "replica-of" ] ~docv:"ADDR"
-        ~doc:
-          "Start as a read-only replica of the primary at $(docv): subscribe to its \
-           WAL stream, apply pushed records, catch up by snapshot when joining late \
-           or after a partition. Writes are refused with $(i,not primary) until \
-           $(b,segdb_cli promote) turns this node into a primary at a fenced epoch.")
-
-let epoch_t =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "epoch" ] ~docv:"N"
-        ~doc:
-          "Seed the replication fencing epoch (default: 1 for a primary, 0 for a \
-           replica). Nodes refuse replication frames from a lower epoch.")
-
-let idle_timeout_s_t =
-  Arg.(
-    value & opt float 0.
-    & info [ "idle-timeout-s" ] ~docv:"S"
-        ~doc:
-          "Reap connections with no traffic and no in-flight requests for $(docv) \
-           seconds (0 = never). Subscribed replicas are exempt.")
-
-let metrics_addr_t =
-  Arg.(
-    value
-    & opt (some addr_conv) None
-    & info [ "metrics-addr" ] ~docv:"ADDR"
-        ~doc:
-          "Also serve HTTP monitoring endpoints on $(docv): $(b,/metrics) (Prometheus \
-           exposition with rate and window gauges), $(b,/healthz) (role, epoch, LSN, \
-           replication lag; 200 healthy / 503 stalled) and $(b,/varz) (the sampler's \
-           time-series ring as JSON). Starts the background sampler.")
-
-let sample_ms_t =
-  Arg.(
-    value & opt int 1000
-    & info [ "sample-ms" ] ~docv:"MS"
-        ~doc:
-          "Sampler interval: how often the background sampler snapshots the metrics \
-           registry to compute per-interval rates and windowed percentiles (only \
-           meaningful with $(b,--metrics-addr)).")
-
-let serve_cmd =
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "serve a segment file or snapshot over the binary wire protocol: an accept \
-          loop submits decoded frames to a persistent $(b,Segdb_exec) pool (bounded \
-          admission, per-request deadlines, cooperative cancellation); SIGTERM/SIGINT \
-          or a $(i,shutdown) frame drains gracefully; with $(b,--replica-of) the node \
-          serves reads while tailing a primary's WAL stream; with $(b,--metrics-addr) \
-          it also exports $(b,/metrics), $(b,/healthz) and $(b,/varz) over HTTP")
-    Term.(
-      const serve $ file_t $ serve_addr_t $ backend_t $ block_t $ serve_domains_t
-      $ queue_depth_t $ deadline_ms_t $ no_obs_t $ slow_ms_t $ replica_of_t $ epoch_t
-      $ idle_timeout_s_t $ metrics_addr_t $ sample_ms_t)
+(* ---------------- ping / shutdown ---------------- *)
 
 let server_pos_t =
   Arg.(
@@ -1644,7 +1494,6 @@ let main_cmd =
       scrub_cmd;
       repair_cmd;
       verify_cmd;
-      serve_cmd;
       ping_cmd;
       shutdown_cmd;
       promote_cmd;

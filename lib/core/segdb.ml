@@ -216,7 +216,6 @@ let query_safe t q =
     query_iter t q ~f:(fun s -> acc := s :: !acc);
     Degraded.ok (finish ())
   with
-  | File_store.Corrupt_store m -> Degraded.partial (finish ()) [ m ]
   | Codec.Corrupt m -> Degraded.partial (finish ()) [ "undecodable block: " ^ m ]
   | Unix.Unix_error (e, op, _) ->
       Degraded.partial (finish ())

@@ -88,11 +88,10 @@ module Degraded : sig
 end
 
 val query_safe : t -> Vquery.t -> Segment.t list Degraded.t
-(** {!query}, catching storage faults ([File_store.Corrupt_store],
-    undecodable blocks, [Unix] errors that survived the retry policy)
-    into a {!Degraded.t} instead of raising. Injected crashes
-    ([Failpoint.Injected_crash]) still propagate — they model process
-    death, not a servable fault. *)
+(** {!query}, catching storage faults (undecodable blocks, [Unix]
+    errors that survived the retry policy) into a {!Degraded.t} instead
+    of raising. Injected crashes ([Failpoint.Injected_crash]) still
+    propagate — they model process death, not a servable fault. *)
 
 val size : t -> int
 val block_count : t -> int

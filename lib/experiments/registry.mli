@@ -1,6 +1,5 @@
 (** The experiment registry (per-experiment index of DESIGN.md /
-    EXPERIMENTS.md). E11 — wall-clock timing — lives in [bench/main.ml]
-    since it is a Bechamel suite, not an I/O table. *)
+    EXPERIMENTS.md). *)
 
 type experiment = {
   id : string;

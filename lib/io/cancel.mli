@@ -3,9 +3,9 @@
     A {e handle} carries an explicit-cancel flag and an optional
     absolute deadline. The execution engine ({!Segdb_exec}) installs a
     handle on the current domain around each query; the storage layer
-    calls {!poll} at block-fetch granularity ({!Block_store.Make.read},
-    {!File_store.Make.read}), so an expired or cancelled request stops
-    issuing I/O instead of running to completion.
+    calls {!poll} at block-fetch granularity ({!Block_store.Make.read}),
+    so an expired or cancelled request stops issuing I/O instead of
+    running to completion.
 
     Cost discipline mirrors {!Failpoint} and {!Segdb_obs.Control}: with
     no handle installed anywhere in the process, {!poll} is a single

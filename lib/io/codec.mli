@@ -1,11 +1,11 @@
 (** Binary encoding for on-disk artifacts.
 
     Little-endian, length-prefixed, with no framing of its own — the
-    consumers ({!File_store} pages, {!Wal} records, snapshot sections)
-    add their own headers and CRCs. A codec pairs a writer into a
-    [Buffer.t] with a reader over an immutable string; malformed input
-    raises {!Corrupt} rather than returning partial values, so a CRC
-    mismatch and a decode failure surface identically to callers. *)
+    consumers ({!Wal} records, snapshot sections) add their own headers
+    and CRCs. A codec pairs a writer into a [Buffer.t] with a reader
+    over an immutable string; malformed input raises {!Corrupt} rather
+    than returning partial values, so a CRC mismatch and a decode
+    failure surface identically to callers. *)
 
 exception Corrupt of string
 (** Raised by readers on truncated or malformed input. *)

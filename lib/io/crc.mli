@@ -1,7 +1,7 @@
 (** CRC-32 (IEEE 802.3, reflected polynomial [0xEDB88320]).
 
     Checksums guard every on-disk artifact of the persistence layer:
-    snapshot sections, {!File_store} superblocks, and {!Wal} records.
+    snapshot sections and {!Wal} records.
     Values are the unsigned 32-bit checksum carried in an [int]. *)
 
 val init : int

@@ -177,37 +177,9 @@ module Io = struct
       Bytes.set buf i (Char.chr (Char.code (Bytes.get buf i) lxor (1 lsl Rng.int r 8)))
     end
 
-  let sp_pread = site "pread"
-  let sp_pwrite = site "pwrite"
   let sp_fsync = site "fsync"
 
-  let read_fully fd buf ~got ~len =
-    let stop = ref false in
-    while (not !stop) && !got < len do
-      let n = Unix.read fd buf !got (len - !got) in
-      if n = 0 then stop := true else got := !got + n
-    done
-
-  let pread fd ~off buf =
-    let len = Bytes.length buf in
-    let got = ref 0 in
-    let post = ref None in
-    retrying (fun () ->
-        (match fire sp_pread with
-        | Some Crash -> raise (Injected_crash "pread")
-        | Some Eio -> raise (injected_eio "pread")
-        | Some ((Short | Bit_flip | Torn) as a) -> post := Some a
-        | None -> ());
-        ignore (Unix.lseek fd off Unix.SEEK_SET);
-        got := 0;
-        read_fully fd buf ~got ~len);
-    (match !post with
-    | Some Short | Some Torn -> got := prefix_of !got
-    | Some Bit_flip -> flip_bit buf ~len:!got
-    | _ -> ());
-    !got
-
-  let write_from ?(site = sp_pwrite) fd ~off buf =
+  let write_all ~site fd ~off buf =
     let len = Bytes.length buf in
     retrying (fun () ->
         (match fire site with
@@ -251,9 +223,6 @@ module Io = struct
             put := !put + n
           end
         done)
-
-  let pwrite fd ~off buf = write_from fd ~off buf
-  let write_all ?site fd ~off buf = write_from ?site fd ~off buf
 
   (* ---------------- socket wrappers ----------------
 

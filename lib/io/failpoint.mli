@@ -1,10 +1,10 @@
 (** Deterministic fault injection for the I/O stack.
 
     A {e site} is a named point in the code where a fault can be
-    injected: the syscall wrappers ([pread], [pwrite], [fsync]), the
-    WAL's frame append ([wal.append]), the store's durability point
-    ([store.sync]), the snapshot writer ([snapshot.write]), and the
-    query entry ([segdb.query]). Sites are registered once at module
+    injected: the [fsync] wrapper, the WAL's frame append
+    ([wal.append]), the snapshot writer ([snapshot.write]), the socket
+    wrappers ([net.read], [net.write]) and the query entry
+    ([segdb.query]). Sites are registered once at module
     initialization ({!site}) and consulted with {!fire} on every pass.
 
     The registry is disarmed by default, and a disarmed {!fire} costs a
@@ -18,8 +18,8 @@
 
     Plans can be armed programmatically ({!arm}) or from the
     environment ({!arm_from_env} reads [SEGDB_FAILPOINTS], e.g.
-    ["wal.append=crash@3;pread=eio+"]) — which is how the CLI tools
-    expose the harness without any code change. *)
+    ["wal.append=crash@3;segdb.query=eio+"]) — which is how the CLI
+    tools expose the harness without any code change. *)
 
 exception Injected_crash of string
 (** A hard "crash here" cut: the site name is the payload. Raised out
@@ -91,24 +91,16 @@ val hits : site -> int
 val rng : unit -> Segdb_util.Rng.t
 (** The arming-seeded generator injection helpers draw from. *)
 
-(** Hardened syscall wrappers shared by {!File_store}, {!Wal} and the
-    snapshot writer. Each wrapper consults its fault site on every
+(** Hardened syscall wrappers shared by {!Wal}, the snapshot writer
+    and the network layer. Each wrapper consults its fault site on every
     attempt, retries transient errors ([EINTR]/[EAGAIN] always, [EIO] a
     bounded number of times with exponential backoff), counts retries
     into [Segdb_obs.Metrics] as [io.retries] (when observability is
     on), and treats a persistently stalled 0-byte write as an error
     rather than spinning. *)
 module Io : sig
-  val pread : Unix.file_descr -> off:int -> Bytes.t -> int
-  (** Positional read of the whole buffer; returns the bytes obtained
-      (short only at end-of-file, or under an injected [Short]).
-      Site: [pread]. *)
-
-  val pwrite : Unix.file_descr -> off:int -> Bytes.t -> unit
-  (** Positional write of the whole buffer. Site: [pwrite]. *)
-
-  val write_all : ?site:site -> Unix.file_descr -> off:int -> Bytes.t -> unit
-  (** Like {!pwrite} but firing [site] instead (the WAL's
+  val write_all : site:site -> Unix.file_descr -> off:int -> Bytes.t -> unit
+  (** Positional write of the whole buffer, firing [site] (the WAL's
       [wal.append], the snapshot's [snapshot.write]); the explicit
       offset makes retries idempotent — every attempt rewrites from
       [off]. *)

@@ -58,10 +58,10 @@ val with_reader : t -> (unit -> 'a) -> 'a
 
 (**/**)
 
-(* The remainder is the store-facing half, used by {!Block_store} and
-   {!File_store}; payloads are untyped because one context serves
-   stores of different payload types (addresses are unique per pool,
-   and the [uid] check catches cross-pool misuse). *)
+(* The remainder is the store-facing half, used by {!Block_store};
+   payloads are untyped because one context serves stores of
+   different payload types (addresses are unique per pool, and the
+   [uid] check catches cross-pool misuse). *)
 
 val fresh_uid : unit -> int
 val active : unit -> t option

@@ -143,4 +143,4 @@ val open_or_build : ?backend:Db.backend -> ?block:int -> string -> Db.t
 (** Load a database for serving: a file with the snapshot magic is
     reopened via [Db.open_db], anything else is parsed as a text
     segment file and indexed with [backend]/[block] (defaults:
-    [`Solution2], 64). Shared by [segdb_server] and [segdb_cli serve]. *)
+    [`Solution2], 64). Used by [segdb_server]. *)

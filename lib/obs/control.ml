@@ -12,11 +12,6 @@ let enabled () = Atomic.get on
 let enable () = Atomic.set on true
 let disable () = Atomic.set on false
 
-let with_enabled f =
-  let saved = Atomic.get on in
-  Atomic.set on true;
-  Fun.protect ~finally:(fun () -> Atomic.set on saved) f
-
 (* SEGDB_OBS=0 is an operator veto: entry points that enable
    observability by default (serving, local stats) check [forced_off]
    first, so the environment wins over the built-in default. *)

@@ -1,8 +1,8 @@
 (** The master switch of the observability subsystem.
 
-    Probe sites throughout the I/O stack ({!Block_store}, {!File_store},
-    the PSTs, interval trees, slab segment trees, the WAL, snapshots)
-    check [enabled ()] before touching any metric or trace state. The
+    Probe sites throughout the I/O stack ({!Block_store}, the PSTs,
+    interval trees, slab segment trees, the WAL, snapshots) check
+    [enabled ()] before touching any metric or trace state. The
     default is off: a disabled probe costs one atomic load and nothing
     else, so query paths run at their uninstrumented speed. *)
 
@@ -11,10 +11,6 @@ val enabled : unit -> bool
 
 val enable : unit -> unit
 val disable : unit -> unit
-
-val with_enabled : (unit -> 'a) -> 'a
-(** Runs [f] with observability on, restoring the previous state after
-    (also on exceptions). *)
 
 val configure_from_env : unit -> unit
 (** Honour [SEGDB_OBS]: ["1"]/["true"]/["on"] enables, ["0"]/["false"]/

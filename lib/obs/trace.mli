@@ -1,8 +1,8 @@
 (** Trace spans over the query pipeline.
 
     A span marks one phase of work — a first-level descent step, a PST
-    [Find]/[Report], an interval-tree stab, a slab-tree walk, a
-    [File_store] page fetch, a WAL append. Finished spans land in
+    [Find]/[Report], an interval-tree stab, a slab-tree walk, a WAL
+    append. Finished spans land in
     per-domain ring buffers (oldest overwritten first, merged by
     {!events}) and their durations and block counts feed per-phase
     histograms ([span.<phase>.ns] / [span.<phase>.blocks]) in

@@ -404,190 +404,6 @@ let test_codec_corrupt () =
   | exception Codec.Corrupt _ -> ()
   | _ -> Alcotest.fail "huge array length must raise"
 
-(* ---------------- File_store ---------------- *)
-
-module FS = File_store.Make (struct
-  type t = int array
-
-  let codec = Codec.(array int)
-end)
-
-let tmpfile () = Filename.temp_file "segdb_fstore" ".blk"
-
-let with_store ?(page_size = 4096) ?(cache_blocks = 4) f =
-  let path = tmpfile () in
-  let io = Io_stats.create () in
-  let s = FS.create ~page_size ~cache_blocks ~stats:io ~path () in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-    (fun () -> f path io s)
-
-let test_fstore_roundtrip () =
-  with_store (fun _ _ s ->
-      let a = FS.alloc s [| 10 |] and b = FS.alloc s [| 20; 21 |] in
-      Alcotest.(check (array int)) "read a" [| 10 |] (FS.read s a);
-      Alcotest.(check (array int)) "read b" [| 20; 21 |] (FS.read s b);
-      FS.write s a [| 11 |];
-      Alcotest.(check (array int)) "after write" [| 11 |] (FS.read s a);
-      Alcotest.(check int) "live blocks" 2 (FS.block_count s);
-      FS.close s)
-
-(* The in-memory store's accounting battery, replayed against the file:
-   identical charges for single-page payloads. *)
-let test_fstore_accounting () =
-  with_store ~cache_blocks:2 (fun _ io s ->
-      let a = FS.alloc s [| 1 |] in
-      let b = FS.alloc s [| 2 |] in
-      let c = FS.alloc s [| 3 |] in
-      Alcotest.(check int) "write on dirty eviction" 1 (Io_stats.writes io);
-      Alcotest.(check (array int)) "read back a" [| 1 |] (FS.read s a);
-      Alcotest.(check int) "read charged" 1 (Io_stats.reads io);
-      Alcotest.(check int) "second dirty eviction" 2 (Io_stats.writes io);
-      ignore (FS.read s c);
-      ignore b;
-      FS.close s)
-
-let test_fstore_blind_write () =
-  with_store ~cache_blocks:1 (fun _ io s ->
-      let a = FS.alloc s [| 1 |] in
-      let _b = FS.alloc s [| 2 |] in
-      let r0 = Io_stats.reads io in
-      FS.write s a [| 10 |];
-      Alcotest.(check int) "blind overwrite charges no read" r0 (Io_stats.reads io);
-      Alcotest.(check (array int)) "value updated" [| 10 |] (FS.read s a);
-      FS.close s)
-
-let test_fstore_free_errors () =
-  with_store (fun _ _ s ->
-      let a = FS.alloc s [| 5 |] in
-      FS.free s a;
-      Alcotest.(check int) "no live blocks" 0 (FS.block_count s);
-      (match FS.read s a with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.fail "read after free should raise");
-      (match FS.free s a with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.fail "double free should raise");
-      FS.close s)
-
-let test_fstore_persistence () =
-  let path = tmpfile () in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let io = Io_stats.create () in
-      let s = FS.create ~page_size:256 ~cache_blocks:4 ~stats:io ~path () in
-      let addrs = Array.init 20 (fun i -> FS.alloc s (Array.init (i mod 7) (fun j -> (i * 100) + j))) in
-      FS.set_root s addrs.(3);
-      FS.close s;
-      (* a different process would do exactly this *)
-      let io2 = Io_stats.create () in
-      let s2 = FS.open_existing ~cache_blocks:4 ~stats:io2 ~path () in
-      Alcotest.(check int) "live blocks survive" 20 (FS.block_count s2);
-      Alcotest.(check int) "root survives" addrs.(3) (FS.root s2);
-      Alcotest.(check int) "page size from superblock" 256 (FS.page_size s2);
-      Array.iteri
-        (fun i a ->
-          Alcotest.(check (array int))
-            (Printf.sprintf "block %d" i)
-            (Array.init (i mod 7) (fun j -> (i * 100) + j))
-            (FS.read s2 a))
-        addrs;
-      Alcotest.(check bool) "cold reads charged" true (Io_stats.reads io2 >= 16);
-      FS.close s2)
-
-let test_fstore_multipage () =
-  let path = tmpfile () in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let io = Io_stats.create () in
-      (* page payload capacity 64 - 9 = 55 bytes: a 100-int array (804
-         bytes with the length prefix) needs 15 pages *)
-      let s = FS.create ~page_size:64 ~cache_blocks:2 ~stats:io ~path () in
-      let big = Array.init 100 (fun i -> i * i) in
-      let a = FS.alloc s big in
-      let small = FS.alloc s [| 7 |] in
-      FS.flush s;
-      let w = Io_stats.writes io in
-      Alcotest.(check bool) "multi-page write charged per page" true (w >= 15);
-      let pages_before = FS.page_count s in
-      (* shrink: surplus pages go to the free list and are reused *)
-      FS.write s a [| 1; 2 |];
-      FS.flush s;
-      let b = FS.alloc s (Array.init 50 (fun i -> i)) in
-      FS.flush s;
-      Alcotest.(check bool) "shrink + realloc reuses pages"
-        true
-        (FS.page_count s <= pages_before + 1);
-      FS.close s;
-      let io2 = Io_stats.create () in
-      let s2 = FS.open_existing ~stats:io2 ~path () in
-      Alcotest.(check (array int)) "shrunk block" [| 1; 2 |] (FS.read s2 a);
-      Alcotest.(check (array int)) "small block" [| 7 |] (FS.read s2 small);
-      Alcotest.(check (array int)) "reused-page block" (Array.init 50 (fun i -> i)) (FS.read s2 b);
-      FS.close s2)
-
-let test_fstore_free_reuse () =
-  with_store (fun _ _ s ->
-      let a = FS.alloc s [| 1 |] in
-      let _b = FS.alloc s [| 2 |] in
-      let pages = FS.page_count s in
-      FS.free s a;
-      let c = FS.alloc s [| 3 |] in
-      Alcotest.(check int) "freed page reused" pages (FS.page_count s);
-      Alcotest.(check (array int)) "new contents" [| 3 |] (FS.read s c);
-      FS.close s)
-
-let test_fstore_corrupt () =
-  let path = tmpfile () in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out_bin path in
-      output_string oc "this is not a block store at all.....";
-      close_out oc;
-      match FS.open_existing ~stats:(Io_stats.create ()) ~path () with
-      | exception File_store.Corrupt_store _ -> ()
-      | _ -> Alcotest.fail "garbage must be rejected")
-
-let prop_fstore_model =
-  QCheck.Test.make ~name:"file store read-your-writes under eviction" ~count:60
-    QCheck.(pair (int_range 1 6) (small_list (pair (int_range 0 9) (int_range 0 999))))
-    (fun (cap, writes) ->
-      let path = tmpfile () in
-      Fun.protect
-        ~finally:(fun () -> Sys.remove path)
-        (fun () ->
-          let io = Io_stats.create () in
-          let s = FS.create ~page_size:64 ~cache_blocks:cap ~stats:io ~path () in
-          let addr_of = Hashtbl.create 16 in
-          let model = Hashtbl.create 16 in
-          List.iter
-            (fun (k, v) ->
-              (* variable payload sizes exercise extent growth/shrink *)
-              let payload = Array.make (1 + (v mod 40)) v in
-              (match Hashtbl.find_opt addr_of k with
-              | None -> Hashtbl.add addr_of k (FS.alloc s payload)
-              | Some a -> FS.write s a payload);
-              Hashtbl.replace model k payload)
-            writes;
-          let ok =
-            Hashtbl.fold
-              (fun k a ok -> ok && FS.read s a = Hashtbl.find model k)
-              addr_of true
-          in
-          (* and across a close/open boundary *)
-          FS.close s;
-          let s2 = FS.open_existing ~stats:(Io_stats.create ()) ~path () in
-          let ok2 =
-            Hashtbl.fold
-              (fun k a ok -> ok && FS.read s2 a = Hashtbl.find model k)
-              addr_of ok
-          in
-          FS.close s2;
-          ok2))
-
 (* ---------------- Wal ---------------- *)
 
 let test_wal_roundtrip () =
@@ -793,7 +609,7 @@ let test_wal_audit_empty () =
       Wal.close w;
       Alcotest.(check (list string)) "scan_from on empty" [] (Wal.scan_from path ~from:0))
 
-(* ---------------- Failpoint + checksummed store ---------------- *)
+(* ---------------- Failpoint ---------------- *)
 
 (* Every test arms the global registry, so every test disarms in a
    [finally] — a leaked plan would fault unrelated tests. *)
@@ -802,217 +618,82 @@ let with_armed ?seed plans f =
       Failpoint.arm ?seed plans;
       f ())
 
-let contains ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  n = 0 || go 0
-
 let test_fp_parse () =
-  (match Failpoint.parse_spec "wal.append=crash@3;pread=eio+" with
+  (match Failpoint.parse_spec "wal.append=crash@3;fsync=eio+" with
   | Error e -> Alcotest.failf "valid spec rejected: %s" e
   | Ok plans ->
       Alcotest.(check int) "two plans" 2 (List.length plans);
       let p = List.assoc "wal.append" plans in
       Alcotest.(check int) "hit number" 3 p.Failpoint.at;
       Alcotest.(check bool) "one-shot" false p.Failpoint.persistent;
-      let q = List.assoc "pread" plans in
+      let q = List.assoc "fsync" plans in
       Alcotest.(check bool) "persistent" true q.Failpoint.persistent);
   List.iter
     (fun bad ->
       match Failpoint.parse_spec bad with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "malformed spec accepted: %S" bad)
-    [ "pread"; "pread=frob"; "pread=eio@zero"; "=eio" ]
+    [ "fsync"; "fsync=frob"; "fsync=eio@zero"; "=eio" ]
 
 let test_fp_disarmed () =
   Failpoint.disarm ();
   Alcotest.(check bool) "disarmed by default" false (Failpoint.armed ());
   Alcotest.(check bool) "fire is a no-op" true
-    (Failpoint.fire (Failpoint.site "pread") = None)
+    (Failpoint.fire (Failpoint.site "fsync") = None)
 
-(* A one-shot transient EIO on the read path heals invisibly: the
-   caller sees the correct value, only the retry counter moves. *)
+(* A one-shot transient EIO on the append path heals invisibly: the
+   record lands intact, only the site's hit counter shows the retry. *)
 let test_fp_retry_transparent () =
-  with_store ~page_size:128 ~cache_blocks:1 (fun _ _ s ->
-      let a = FS.alloc s [| 1; 2; 3 |] in
-      let _b = FS.alloc s [| 4 |] in
-      FS.flush s;
-      with_armed [ ("pread", Failpoint.plan Failpoint.Eio) ] (fun () ->
-          Alcotest.(check (array int)) "transient EIO healed" [| 1; 2; 3 |] (FS.read s a);
-          Alcotest.(check bool) "site fired" true
-            (Failpoint.hits (Failpoint.site "pread") >= 1));
-      FS.close s)
+  let path = Filename.temp_file "segdb_wal" ".wal" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let w, _ = Wal.open_ ~sync:false path in
+      Wal.append w "before";
+      with_armed [ ("wal.append", Failpoint.plan Failpoint.Eio) ] (fun () ->
+          Wal.append w "healed";
+          Alcotest.(check int) "fired once, retried once" 2
+            (Failpoint.hits (Failpoint.site "wal.append")));
+      Wal.close w;
+      Alcotest.(check (list string))
+        "transient EIO healed" [ "before"; "healed" ] (Wal.scan path))
 
 (* A persistent EIO is a dead device: the bounded retry gives up and
-   the error surfaces instead of spinning forever. *)
+   the error surfaces instead of spinning forever, and the log keeps
+   exactly the records acknowledged before it. *)
 let test_fp_persistent_eio () =
-  with_store ~page_size:128 ~cache_blocks:1 (fun _ _ s ->
-      let a = FS.alloc s [| 9; 9 |] in
-      let _b = FS.alloc s [| 4 |] in
-      FS.flush s;
-      with_armed [ ("pread", Failpoint.plan ~persistent:true Failpoint.Eio) ] (fun () ->
-          match FS.read s a with
-          | _ -> Alcotest.fail "persistent EIO must surface"
-          | exception Unix.Unix_error (Unix.EIO, _, _) -> ()
-          | exception File_store.Corrupt_store _ -> ());
-      (* the device recovered: the store object is still usable *)
-      Alcotest.(check (array int)) "usable after disarm" [| 9; 9 |] (FS.read s a);
-      FS.close s)
+  let path = Filename.temp_file "segdb_wal" ".wal" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let w, _ = Wal.open_ ~sync:false path in
+      Wal.append w "acked";
+      with_armed [ ("wal.append", Failpoint.plan ~persistent:true Failpoint.Eio) ] (fun () ->
+          match Wal.append w "refused" with
+          | () -> Alcotest.fail "persistent EIO must surface"
+          | exception Unix.Unix_error (Unix.EIO, _, _) -> ());
+      Alcotest.(check (list string)) "acknowledged prefix kept" [ "acked" ] (Wal.scan path);
+      (* the device recovered: the handle is still usable *)
+      Wal.append w "after";
+      Wal.close w;
+      Alcotest.(check (list string)) "usable after disarm" [ "acked"; "after" ] (Wal.scan path))
 
-(* A flipped bit on the write path is silent at write time; the page
-   CRC refuses it at read time — or, if the flip landed in the page's
-   uncovered slack, the value is simply intact. Either way, never a
-   silently wrong value. *)
+(* A flipped bit on the write path is silent at write time; the frame
+   CRC refuses the record at replay, so it is dropped, never delivered
+   as a wrong value. *)
 let test_fp_write_flip_caught () =
-  with_store ~page_size:128 ~cache_blocks:1 (fun _ _ s ->
-      let a = FS.alloc s [| 5; 6; 7 |] in
-      with_armed ~seed:7 [ ("pwrite", Failpoint.plan Failpoint.Bit_flip) ] (fun () ->
-          let _b = FS.alloc s [| 1 |] in
-          (* allocating _b evicted dirty a through the flipped pwrite *)
-          ());
-      (match FS.read s a with
-      | v -> Alcotest.(check (array int)) "flip in slack: value intact" [| 5; 6; 7 |] v
-      | exception File_store.Corrupt_store _ -> ());
-      FS.close s)
-
-(* Deterministic page-CRC check: flip the first payload byte of the
-   first page on disk; the read must refuse and the scrubber must point
-   at the page. *)
-let test_fstore_crc_detects_flip () =
-  let path = tmpfile () in
+  let path = Filename.temp_file "segdb_wal" ".wal" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      let s = FS.create ~page_size:128 ~cache_blocks:2 ~stats:(Io_stats.create ()) ~path () in
-      let a = FS.alloc s [| 11; 12; 13 |] in
-      FS.sync s;
-      FS.close s;
-      let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
-      let off = 128 + 13 in
-      (* first payload byte of page 1 *)
-      let b = Bytes.create 1 in
-      ignore (Unix.lseek fd off Unix.SEEK_SET);
-      ignore (Unix.read fd b 0 1);
-      Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x40));
-      ignore (Unix.lseek fd off Unix.SEEK_SET);
-      ignore (Unix.write fd b 0 1);
-      Unix.close fd;
-      (match File_store.Scrub.file path with
-      | [] -> Alcotest.fail "scrub must report the damaged page"
-      | fs ->
-          Alcotest.(check bool)
-            "finding names page 1" true
-            (List.exists (fun m -> contains ~sub:"page 1" m) fs));
-      let s2 = FS.open_existing ~stats:(Io_stats.create ()) ~path () in
-      (match FS.read s2 a with
-      | _ -> Alcotest.fail "corrupt page must not decode"
-      | exception File_store.Corrupt_store _ -> ());
-      FS.close s2)
-
-(* The satellite property: flip one byte ANYWHERE in a saved store
-   file. Acceptable outcomes: detected (open or read raises
-   [Corrupt_store], and the scrubber reports a finding) or provably
-   harmless (every surviving value reads back bit-identical). Silent
-   wrong answers — and clean scrubs alongside read failures — fail. *)
-let prop_fstore_flip_never_silent =
-  QCheck.Test.make ~name:"single byte flip in the store is never silent" ~count:60
-    QCheck.(pair (int_bound 100_000) (int_range 0 7))
-    (fun (posx, bit) ->
-      let path = tmpfile () in
-      Fun.protect
-        ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-        (fun () ->
-          let s =
-            FS.create ~page_size:64 ~cache_blocks:2 ~stats:(Io_stats.create ()) ~path ()
-          in
-          let payload i = Array.init (1 + (i * 5 mod 17)) (fun j -> (i * 100) + j) in
-          let addrs = Array.init 8 (fun i -> FS.alloc s (payload i)) in
-          FS.free s addrs.(2);
-          FS.set_root s addrs.(0);
-          FS.sync s;
-          FS.close s;
-          let ic = open_in_bin path in
-          let data =
-            Fun.protect
-              ~finally:(fun () -> close_in ic)
-              (fun () -> really_input_string ic (in_channel_length ic))
-          in
-          let pos = posx mod String.length data in
-          let b = Bytes.of_string data in
-          Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl bit)));
-          let oc = open_out_bin path in
-          output_bytes oc b;
-          close_out oc;
-          let findings = File_store.Scrub.file path in
-          match FS.open_existing ~stats:(Io_stats.create ()) ~path () with
-          | exception File_store.Corrupt_store _ -> findings <> []
-          | s2 ->
-              let silent = ref false and detected = ref false in
-              Array.iteri
-                (fun i a ->
-                  if i <> 2 then
-                    match FS.read s2 a with
-                    | v -> if v <> payload i then silent := true
-                    | exception File_store.Corrupt_store _ -> detected := true
-                    | exception Invalid_argument _ ->
-                        (* the flip hit a page header: the rebuilt
-                           address map dropped the page, so the read is
-                           refused loudly — detected, not silent *)
-                        detected := true)
-                addrs;
-              FS.close s2;
-              (not !silent) && ((not !detected) || findings <> [])))
-
-(* Format gate: a version-1 image (even with a self-consistent CRC)
-   is refused with a message that says how to migrate. *)
-let test_fstore_v1_rejected () =
-  let path = tmpfile () in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let s = FS.create ~page_size:128 ~cache_blocks:2 ~stats:(Io_stats.create ()) ~path () in
-      ignore (FS.alloc s [| 1 |]);
-      FS.sync s;
-      FS.close s;
-      let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
-      let sb = Bytes.create 28 in
-      ignore (Unix.read fd sb 0 28);
-      Bytes.set_int32_le sb 8 1l;
-      (* re-seal: the CRC is valid, only the version is old *)
-      let crc = Crc.string (Bytes.sub_string sb 0 24) in
-      Bytes.set_int32_le sb 24 (Int32.of_int crc);
-      ignore (Unix.lseek fd 0 Unix.SEEK_SET);
-      ignore (Unix.write fd sb 0 28);
-      Unix.close fd;
-      (match FS.open_existing ~stats:(Io_stats.create ()) ~path () with
-      | _ -> Alcotest.fail "v1 image must be rejected"
-      | exception File_store.Corrupt_store m ->
-          Alcotest.(check bool)
-            "message names the version" true
-            (contains ~sub:"version" m));
-      Alcotest.(check bool)
-        "scrub reports the version too" true
-        (List.exists
-           (fun m -> contains ~sub:"version" m)
-           (File_store.Scrub.file path)))
-
-(* A store that has only ever gone through the front door scrubs
-   clean — including after frees, shrinks and multi-page extents. *)
-let test_fstore_fresh_scrub_clean () =
-  let path = tmpfile () in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let s = FS.create ~page_size:64 ~cache_blocks:2 ~stats:(Io_stats.create ()) ~path () in
-      let big = FS.alloc s (Array.init 100 (fun i -> i)) in
-      let small = FS.alloc s [| 1 |] in
-      FS.free s small;
-      FS.write s big [| 9 |];
-      (* shrink: surplus pages become tombstones *)
-      ignore (FS.alloc s (Array.init 30 (fun i -> i)));
-      FS.sync s;
-      FS.close s;
-      Alcotest.(check (list string)) "clean" [] (File_store.Scrub.file path))
+      let w, _ = Wal.open_ ~sync:false path in
+      Wal.append w "intact";
+      with_armed ~seed:7 [ ("wal.append", Failpoint.plan Failpoint.Bit_flip) ] (fun () ->
+          Wal.append w "flipped");
+      Wal.close w;
+      let w2, replayed = Wal.open_ ~sync:false path in
+      Wal.close w2;
+      Alcotest.(check (list string)) "flipped frame dropped at replay" [ "intact" ] replayed)
 
 (* Torn WAL append: the writer dies mid-frame; recovery replays the
    intact prefix and truncates the tear, and [Wal.audit] sees both
@@ -1136,11 +817,6 @@ let suite =
         Alcotest.test_case "persistent EIO surfaces bounded" `Quick test_fp_persistent_eio;
         Alcotest.test_case "write-path bit flip caught by CRC" `Quick
           test_fp_write_flip_caught;
-        Alcotest.test_case "page CRC detects a flipped byte" `Quick
-          test_fstore_crc_detects_flip;
-        qtest prop_fstore_flip_never_silent;
-        Alcotest.test_case "v1 store image rejected" `Quick test_fstore_v1_rejected;
-        Alcotest.test_case "fresh store scrubs clean" `Quick test_fstore_fresh_scrub_clean;
         Alcotest.test_case "wal torn append recovers prefix" `Quick test_wal_torn_append;
         Alcotest.test_case "wal short append retried" `Quick test_wal_short_append_retried;
         Alcotest.test_case "wal flips in every frame field" `Quick test_wal_flip_fields;
@@ -1156,15 +832,6 @@ let suite =
         qtest prop_crc_incremental;
         qtest prop_codec_roundtrip;
         Alcotest.test_case "codec corrupt input" `Quick test_codec_corrupt;
-        Alcotest.test_case "fstore roundtrip" `Quick test_fstore_roundtrip;
-        Alcotest.test_case "fstore accounting parity" `Quick test_fstore_accounting;
-        Alcotest.test_case "fstore blind write" `Quick test_fstore_blind_write;
-        Alcotest.test_case "fstore free/errors" `Quick test_fstore_free_errors;
-        Alcotest.test_case "fstore persistence" `Quick test_fstore_persistence;
-        Alcotest.test_case "fstore multi-page extents" `Quick test_fstore_multipage;
-        Alcotest.test_case "fstore free-list reuse" `Quick test_fstore_free_reuse;
-        Alcotest.test_case "fstore rejects garbage" `Quick test_fstore_corrupt;
-        qtest prop_fstore_model;
         Alcotest.test_case "wal roundtrip" `Quick test_wal_roundtrip;
         Alcotest.test_case "wal reset" `Quick test_wal_reset;
         Alcotest.test_case "wal torn tail at every offset" `Quick test_wal_torn_tail_sweep;
