@@ -852,29 +852,23 @@ let recover_cmd =
 
 (* ---------------- scrub / repair ---------------- *)
 
-let sniff_magic path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> try really_input_string ic 8 with End_of_file -> "")
-
 let scrub path wal queries =
   let findings = ref [] in
   let add src fs = List.iter (fun f -> findings := (src ^ ": " ^ f) :: !findings) fs in
-  (match sniff_magic path with
-  | "SEGDBSNP" -> (
-      Printf.printf "%s: snapshot\n" path;
-      let fs, contents = Snapshot.salvage ~path in
-      add path fs;
-      match contents with
-      | None -> ()
-      | Some _ -> (
-          (* the file-level checks passed enough to open; now check the
-             index it holds *)
-          match Db.open_db path with
-          | db -> add path (Db.validate ~queries db)
-          | exception Segdb_core.Snapshot.Corrupt_snapshot m -> add path [ m ]))
-  | other -> add path [ Printf.sprintf "unrecognized magic %S" other ]);
+  (if Snapshot.is_snapshot path then begin
+     Printf.printf "%s: snapshot\n" path;
+     let fs, contents = Snapshot.salvage ~path in
+     add path fs;
+     match contents with
+     | None -> ()
+     | Some _ -> (
+         (* the file-level checks passed enough to open; now check the
+            index it holds *)
+         match Db.open_db path with
+         | db -> add path (Db.validate ~queries db)
+         | exception Segdb_core.Snapshot.Corrupt_snapshot m -> add path [ m ])
+   end
+   else add path [ "unrecognized magic: not a segdb snapshot" ]);
   (match wal with
   | None -> ()
   | Some log ->
@@ -1158,106 +1152,9 @@ let slowlog_cmd =
 (* ---------------- top ---------------- *)
 
 module Ascii_plot = Segdb_util.Ascii_plot
+module Export = Obs.Export
 
-(* One parsed exposition scrape. Plain samples are keyed by metric name
-   with labels stripped; histogram buckets keep (base name, le,
-   cumulative count) rows so two scrapes can be diffed into a window.
-   Parsing the exposition text (rather than a bespoke frame) is what
-   lets --connect (the wire Stats frame) and --metrics-addr (HTTP
-   /metrics) share one data path. *)
-type scrape = {
-  values : (string * float) list;
-  buckets : (string * float * float) list;
-}
-
-let parse_le line from =
-  let tag = "le=\"" in
-  let tl = String.length tag in
-  let n = String.length line in
-  let rec find i =
-    if i + tl > n then None
-    else if String.sub line i tl = tag then
-      match String.index_from_opt line (i + tl) '"' with
-      | Some j -> (
-          match String.sub line (i + tl) (j - i - tl) with
-          | "+Inf" -> Some Float.infinity
-          | s -> float_of_string_opt s)
-      | None -> None
-    else find (i + 1)
-  in
-  find from
-
-let parse_exposition text =
-  let values = ref [] and buckets = ref [] in
-  List.iter
-    (fun line ->
-      if line <> "" && line.[0] <> '#' then
-        let name_end =
-          match (String.index_opt line '{', String.index_opt line ' ') with
-          | Some i, Some j -> Some (min i j)
-          | Some i, None -> Some i
-          | None, j -> j
-        in
-        match (name_end, String.rindex_opt line ' ') with
-        | Some i, Some sp when sp > i -> (
-            let name = String.sub line 0 i in
-            match float_of_string_opt (String.sub line (sp + 1) (String.length line - sp - 1)) with
-            | None -> ()
-            | Some v ->
-                if Filename.check_suffix name "_bucket" then (
-                  let base = String.sub name 0 (String.length name - 7) in
-                  match parse_le line i with
-                  | Some le -> buckets := (base, le, v) :: !buckets
-                  | None -> ())
-                else values := (name, v) :: !values)
-        | _ -> ())
-    (String.split_on_char '\n' text);
-  { values = List.rev !values; buckets = List.rev !buckets }
-
-let get sc name = List.assoc_opt name sc.values
-
-(* counter delta between scrapes; a reset (restart) shows as 0, not a
-   negative rate *)
-let delta prev cur name =
-  match (get prev name, get cur name) with
-  | Some a, Some b when b >= a -> Some (b -. a)
-  | Some _, Some _ -> Some 0.0
-  | _, _ -> None
-
-let bucket_series sc name =
-  List.filter_map (fun (b, le, c) -> if b = name then Some (le, c) else None) sc.buckets
-
-(* cumulative count at [le]: the value of the largest emitted bound at
-   or below it (cumulative series are monotone in le) *)
-let cum_at series le =
-  List.fold_left (fun acc (l, c) -> if l <= le then Float.max acc c else acc) 0.0 series
-
-(* percentile of the traffic that landed between the two scrapes, by
-   diffing the cumulative bucket series and interpolating inside the
-   landing bucket *)
-let window_percentile prev cur name p =
-  let cs = bucket_series cur name in
-  if cs = [] then None
-  else begin
-    let ps = bucket_series prev name in
-    let adj = List.map (fun (le, c) -> (le, Float.max 0.0 (c -. cum_at ps le))) cs in
-    let total = List.fold_left (fun acc (_, c) -> Float.max acc c) 0.0 adj in
-    if total <= 0.0 then None
-    else begin
-      let rank = p *. total in
-      let rec walk lo lo_cum = function
-        | [] -> Some lo
-        | (le, c) :: rest ->
-            if c >= rank then
-              if Float.is_finite le then
-                let frac = if c > lo_cum then (rank -. lo_cum) /. (c -. lo_cum) else 1.0 in
-                Some (lo +. (frac *. (le -. lo)))
-              else Some lo
-            else walk le c rest
-      in
-      walk 0.0 0.0 adj
-    end
-  end
+let get = Export.value
 
 let max_with_prefix sc prefix =
   List.fold_left
@@ -1265,7 +1162,7 @@ let max_with_prefix sc prefix =
       if String.length n >= String.length prefix && String.sub n 0 (String.length prefix) = prefix
       then Some (Float.max (Option.value acc ~default:0.0) v)
       else acc)
-    None sc.values
+    None sc.Export.values
 
 let find_sub hay sub =
   let nh = String.length hay and ns = String.length sub in
@@ -1340,14 +1237,16 @@ let top connect metrics_addr interval_ms iterations no_clear =
   let render prev cur dt =
     let fmt_opt f = function Some v -> f v | None -> "-" in
     let f1 v = Printf.sprintf "%.1f" v in
-    let rate name = Option.map (fun d -> d /. dt) (delta prev cur name) in
+    let rate name = Option.map (fun d -> d /. dt) (Export.delta prev cur name) in
     let qps = rate "segdb_net_requests" in
     Option.iter (push_history h_qps) qps;
-    let p50 = window_percentile prev cur "segdb_net_request_ns" 0.50 in
-    let p99 = window_percentile prev cur "segdb_net_request_ns" 0.99 in
+    let p50 = Export.window_percentile prev cur "segdb_net_request_ns" 0.50 in
+    let p99 = Export.window_percentile prev cur "segdb_net_request_ns" 0.99 in
     Option.iter (fun v -> push_history h_p99 (v /. 1e3)) p99;
     let hit =
-      match (delta prev cur "segdb_cache_hits", delta prev cur "segdb_cache_misses") with
+      match
+        (Export.delta prev cur "segdb_cache_hits", Export.delta prev cur "segdb_cache_misses")
+      with
       | Some h, Some m when h +. m > 0.0 -> Some (100.0 *. h /. (h +. m))
       | _ -> None
     in
@@ -1411,7 +1310,10 @@ let top connect metrics_addr interval_ms iterations no_clear =
     let body = fetch () in
     if find_sub body "observability disabled" <> None then
       Printf.eprintf "warning: observability is off on the server; most panels will be empty\n";
-    (Unix.gettimeofday (), parse_exposition body)
+    (* parsing the exposition text (rather than a bespoke frame) is what
+       lets --connect (the wire Stats frame) and --metrics-addr (HTTP
+       /metrics) share one data path *)
+    (Unix.gettimeofday (), Export.parse_prometheus body)
   in
   let rec loop prev rendered =
     if iterations > 0 && rendered >= iterations then 0

@@ -15,27 +15,33 @@
 
 open Cmdliner
 module Db = Segdb_core.Segdb
+module Seg_file = Segdb_core.Seg_file
+module Snapshot = Segdb_core.Snapshot
 module Exec = Segdb_exec.Exec
 module Server = Segdb_net.Server
 module Obs = Segdb_obs
 module Failpoint = Segdb_io.Failpoint
 
+(* a file with the snapshot magic is reopened, anything else is parsed
+   as a text segment file and indexed *)
+let load_db ~backend ~block path =
+  if Snapshot.is_snapshot path then Db.open_db path
+  else Db.create ~backend ~block (Seg_file.load path)
+
 let serve file addr backend block domains queue_depth deadline_ms no_obs slow_ms
-    replica_of epoch idle_timeout_s metrics_addr sample_ms =
+    replica_of epoch idle_timeout_s metrics_addr =
   if (not no_obs) && not (Obs.Control.forced_off ()) then Obs.Control.enable ();
   Option.iter Obs.Slowlog.set_threshold_ms slow_ms;
-  let db = Server.open_or_build ~backend ~block file in
+  let db = load_db ~backend ~block file in
   let srv =
     Server.create ~domains ~queue_depth ~deadline_ms ~idle_timeout_s ?epoch ?replica_of
       ~db addr
   in
-  let metrics_bound = Option.map (Server.serve_metrics srv) metrics_addr in
-  (match metrics_bound with
-  | Some ma ->
-      Obs.Sampler.start ~interval_ms:sample_ms ();
-      Printf.printf "metrics on %s (/metrics, /healthz, /varz; sampling every %dms)\n%!"
-        (Server.addr_to_string ma) sample_ms
-  | None -> ());
+  Option.iter
+    (fun ma ->
+      Printf.printf "metrics on %s (/metrics, /healthz)\n%!"
+        (Server.addr_to_string (Server.serve_metrics srv ma)))
+    metrics_addr;
   let on_signal _ = Server.stop srv in
   (try Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal)
    with Invalid_argument _ | Sys_error _ -> ());
@@ -54,7 +60,6 @@ let serve file addr backend block domains queue_depth deadline_ms no_obs slow_ms
     (Exec.size (Server.pool srv))
     queue_depth deadline_ms;
   Server.run srv;
-  if metrics_bound <> None then Obs.Sampler.stop ();
   Printf.printf "drained: %d requests served\n"
     (Obs.Metrics.value (Obs.Metrics.counter Obs.Metrics.default "net.requests"));
   0
@@ -178,18 +183,9 @@ let metrics_addr_t =
     & info [ "metrics-addr" ] ~docv:"ADDR"
         ~doc:
           "Also serve HTTP monitoring endpoints on $(docv): $(b,/metrics) (Prometheus \
-           exposition with rate and window gauges), $(b,/healthz) (role, epoch, LSN, \
-           replication lag; 200 healthy / 503 stalled) and $(b,/varz) (the sampler's \
-           time-series ring as JSON). Starts the background sampler.")
-
-let sample_ms_t =
-  Arg.(
-    value & opt int 1000
-    & info [ "sample-ms" ] ~docv:"MS"
-        ~doc:
-          "Sampler interval: how often the background sampler snapshots the metrics \
-           registry to compute per-interval rates and windowed percentiles (only \
-           meaningful with $(b,--metrics-addr)).")
+           exposition of every counter, gauge and histogram, gauges refreshed at \
+           scrape time) and $(b,/healthz) (role, epoch, LSN, replication lag; 200 \
+           healthy / 503 stalled).")
 
 let cmd =
   Cmd.v
@@ -198,7 +194,7 @@ let cmd =
     Term.(
       const serve $ file_t $ addr_t $ backend_t $ block_t $ domains_t $ queue_depth_t
       $ deadline_ms_t $ no_obs_t $ slow_ms_t $ replica_of_t $ epoch_t $ idle_timeout_s_t
-      $ metrics_addr_t $ sample_ms_t)
+      $ metrics_addr_t)
 
 let () =
   Failpoint.arm_from_env ();

@@ -57,8 +57,6 @@ let query t q ~f =
     (fun a -> Array.iter (fun s -> if Vquery.matches q s then f s) (Store.read t.store a))
     t.blocks
 
-let query_r r t q ~f = Read_context.with_reader r (fun () -> query t q ~f)
-
 let iter_all t ~f = List.iter (fun a -> Array.iter f (Store.read t.store a)) t.blocks
 
 let size t = t.size

@@ -10,7 +10,6 @@ let build (cfg : Vs_index.config) segs =
 let insert = R.insert
 let delete = R.delete
 let query = R.query
-let query_r r t q ~f = Segdb_io.Read_context.with_reader r (fun () -> R.query t q ~f)
 let iter_all t ~f = R.iter t f
 let size = R.size
 let block_count = R.block_count

@@ -22,9 +22,6 @@ type t = {
       (* bumped by every structural mutation; lets long-lived readers
          (e.g. the execution engine's per-domain cache) detect that
          their block shard may hold stale pages *)
-  mutable commit_hook : (op -> unit) option;
-      (* observes every committed mutation right after it is logged —
-         the replication stream taps the same total order as the WAL *)
   ids : (int, unit) Hashtbl.t;
       (* live segment ids; the duplicate-insert guard must not depend
          on the backend (naive/rtree accept duplicates, solution1/2
@@ -56,7 +53,7 @@ let create ?(backend = `Solution2) ?(block = 64) ?(pool_blocks = 64) segs =
   let cascade = backend <> `Solution2_nofc in
   let cfg = Vs_index.config ~pool_blocks ~block ~cascade () in
   { cfg; backend; pack = build_pack cfg backend segs; wal = None;
-    generation = Atomic.make 0; commit_hook = None; ids = seed_ids segs }
+    generation = Atomic.make 0; ids = seed_ids segs }
 
 let of_segments ?backend ?block ?pool_blocks polylines =
   let acc = ref [] in
@@ -104,13 +101,6 @@ let decode_op payload =
 let log_op t op =
   match t.wal with None -> () | Some w -> Wal.append w (Codec.encode op_codec op)
 
-let set_commit_hook t hook = t.commit_hook <- hook
-
-(* Fired right after [log_op], i.e. once the record is in the total
-   order, whether or not the apply below then succeeds — exactly the
-   set of records a WAL replay would see. *)
-let notify t op = match t.commit_hook with None -> () | Some f -> f op
-
 let apply_insert t s =
   if Hashtbl.mem t.ids s.Segment.id then
     invalid_arg "Segdb.insert: duplicate segment id";
@@ -140,21 +130,18 @@ let insert t s =
   (* the record is durable before the index is touched: a crash between
      the two replays the insert on reopen *)
   log_op t (Op_insert s);
-  notify t (Op_insert s);
   apply_insert t s
 
 let delete t s =
   log_op t (Op_delete s);
-  notify t (Op_delete s);
   apply_delete t s
 
-(* [insert]/[delete] with replay semantics: the op is logged and
-   announced like a local mutation but applied idempotently, so a
-   replayed or replicated record that already took effect is a no-op
-   instead of an error. Returns whether the index changed. *)
+(* [insert]/[delete] with replay semantics: the op is logged like a
+   local mutation but applied idempotently, so a replayed or replicated
+   record that already took effect is a no-op instead of an error.
+   Returns whether the index changed. *)
 let commit t op =
   log_op t op;
-  notify t op;
   match op with
   | Op_insert s -> ( try apply_insert t s; true with Invalid_argument _ -> false)
   | Op_delete s -> apply_delete t s
@@ -249,15 +236,6 @@ let query_ids_r t r q =
   let (Pack ((module M), v, _)) = t.pack in
   Vs_index.query_ids_r (module M) r v q
 
-let query_iter_r t r q ~f =
-  let (Pack ((module M), v, _)) = t.pack in
-  M.query_r r v q ~f
-
-let count_r t r q =
-  let n = ref 0 in
-  query_iter_r t r q ~f:(fun _ -> incr n);
-  !n
-
 let segments t =
   let acc = ref [] in
   iter_all t ~f:(fun s -> acc := s :: !acc);
@@ -335,7 +313,7 @@ let open_db_mode ?(use_image = true) path =
             let cfg, pack = (Marshal.from_string img 0 : Vs_index.config * pack) in
             Some
               { cfg; backend; pack; wal = None; generation = Atomic.make 0;
-                commit_hook = None; ids = seed_ids c.segments }
+                ids = seed_ids c.segments }
           with Failure _ -> None)
       | _ -> None
   in
@@ -382,10 +360,6 @@ let scan_wal path =
   (ops, !skipped)
 
 let apply_wal_ops t ops = List.iter (apply_op t) ops
-
-let pp_op ppf = function
-  | Op_insert s -> Format.fprintf ppf "insert %a" Segment.pp s
-  | Op_delete s -> Format.fprintf ppf "delete %a" Segment.pp s
 
 let wal_path t = Option.map Wal.path t.wal
 

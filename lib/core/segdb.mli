@@ -135,10 +135,6 @@ val query_ids_r : t -> reader -> Vquery.t -> int list
 (** {!query_ids} through a reader: identical answer, I/O charged to the
     reader, shared state untouched. *)
 
-val query_iter_r : t -> reader -> Vquery.t -> f:(Segment.t -> unit) -> unit
-
-val count_r : t -> reader -> Vquery.t -> int
-
 val backend : t -> backend
 val backend_name : t -> string
 
@@ -195,8 +191,6 @@ val apply_wal_ops : t -> op list -> unit
     already-present insert or already-absent delete is a no-op), and
     without logging them anywhere. *)
 
-val pp_op : Format.formatter -> op -> unit
-
 val encode_op : op -> string
 (** The exact WAL/replication record bytes for [op] — what {!insert}
     appends to an attached log and what the replication stream ships. *)
@@ -206,21 +200,12 @@ val decode_op : string -> op option
 
 val commit : t -> op -> bool
 (** [insert]/[delete] with replay semantics: the op is logged to the
-    attached WAL (if any) and announced to the commit hook like a local
-    mutation, but applied {e idempotently} — an insert whose id is
-    already present or a delete that misses is a no-op instead of an
-    error. Returns whether the index changed. This is the write path
-    for operations that may be retried or replayed (the server's wire
-    writes, a replica applying its upstream's stream). *)
-
-val set_commit_hook : t -> (op -> unit) option -> unit
-(** Installs (or clears) a hook observing every committed mutation —
-    local {!insert}/{!delete} and replayed {!commit}s alike — invoked
-    right after the record is logged, before it is applied, on the
-    mutating domain. The replication stream taps the WAL's total order
-    through this. WAL replay on {!attach_wal} does {e not} notify (the
-    hook is installed on an already-recovered database). At most one
-    hook; installing replaces the previous one. *)
+    attached WAL (if any) like a local mutation, but applied
+    {e idempotently} — an insert whose id is already present or a
+    delete that misses is a no-op instead of an error. Returns whether
+    the index changed. This is the write path for operations that may
+    be retried or replayed (the server's wire writes, a replica
+    applying its upstream's stream). *)
 
 val wal_path : t -> string option
 val detach_wal : t -> unit

@@ -25,6 +25,12 @@ type contents = {
   image : string option;
 }
 
+let is_snapshot path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> (try really_input_string ic 8 with End_of_file -> "") = magic)
+
 let self_digest =
   let memo = ref None in
   fun () ->

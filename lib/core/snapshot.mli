@@ -40,6 +40,11 @@ type contents = {
   image : string option;
 }
 
+val is_snapshot : string -> bool
+(** Whether the file at the path starts with the snapshot magic — how
+    the server and the CLI tell a snapshot from a text segment file.
+    Raises [Sys_error] if the file cannot be opened. *)
+
 val self_digest : unit -> string
 (** MD5 hex of the running executable (memoized). *)
 

@@ -218,8 +218,6 @@ let query t (q : Vquery.t) ~f =
   in
   go t.root
 
-let query_r r t q ~f = Read_context.with_reader r (fun () -> query t q ~f)
-
 let iter_all t ~f = Hashtbl.iter (fun _ s -> f s) t.by_id
 
 (* ---------------- insertion ---------------- *)

@@ -38,7 +38,6 @@ module type S = sig
   val insert : t -> Segment.t -> unit
   val delete : t -> Segment.t -> bool
   val query : t -> Vquery.t -> f:(Segment.t -> unit) -> unit
-  val query_r : reader -> t -> Vquery.t -> f:(Segment.t -> unit) -> unit
   val iter_all : t -> f:(Segment.t -> unit) -> unit
   val size : t -> int
   val block_count : t -> int
@@ -49,7 +48,4 @@ let query_ids (type a) (module M : S with type t = a) (t : a) q =
   M.query t q ~f:(fun s -> acc := s.Segment.id :: !acc);
   List.sort compare !acc
 
-let query_ids_r (type a) (module M : S with type t = a) r (t : a) q =
-  let acc = ref [] in
-  M.query_r r t q ~f:(fun s -> acc := s.Segment.id :: !acc);
-  List.sort compare !acc
+let query_ids_r m r t q = with_reader r (fun () -> query_ids m t q)

@@ -7,13 +7,13 @@ open Segdb_geom
     shared I/O counter, and the block size [B]. The experiments measure
     an operation by snapshotting [stats] around it.
 
-    {b Reader/writer contract.} The query operations ([query],
-    [query_r], and everything built on them — counts, id lists,
-    enumeration) never mutate the index. [insert]/[delete] require
-    exclusive access. A {!reader} makes the read half of that contract
-    operational: queries run under one touch no shared state at all —
-    I/O is charged to the reader's own counter and cold blocks land in
-    the reader's own LRU shard — so any number of domains can query one
+    {b Reader/writer contract.} The query operations ([query] and
+    everything built on it — counts, id lists, enumeration) never
+    mutate the index. [insert]/[delete] require exclusive access. A
+    {!reader} makes the read half of that contract operational:
+    queries run under one touch no shared state at all — I/O is
+    charged to the reader's own counter and cold blocks land in the
+    reader's own LRU shard — so any number of domains can query one
     index concurrently, each with its own reader. *)
 
 type config = {
@@ -67,13 +67,6 @@ module type S = sig
   (** Calls [f] exactly once per stored segment intersecting the
       query. *)
 
-  val query_r : reader -> t -> Vquery.t -> f:(Segment.t -> unit) -> unit
-  (** [query] against an immutable-by-contract handle: runs under the
-      reader, charging I/O to {!reader_io} and leaving the shared pool,
-      the shared counter and all index state untouched. Safe to call
-      from several domains at once (one reader per domain) as long as
-      no writer runs. *)
-
   val iter_all : t -> f:(Segment.t -> unit) -> unit
   (** Calls [f] exactly once per stored segment, in unspecified order —
       the enumeration snapshots and audits are built on. Backends that
@@ -89,4 +82,7 @@ val query_ids : (module S with type t = 'a) -> 'a -> Vquery.t -> int list
 
 val query_ids_r :
   (module S with type t = 'a) -> reader -> 'a -> Vquery.t -> int list
-(** {!query_ids} through a reader. *)
+(** {!query_ids} under {!with_reader}: I/O is charged to {!reader_io}
+    and the shared pool, the shared counter and all index state stay
+    untouched. Safe to call from several domains at once (one reader
+    per domain) as long as no writer runs. *)

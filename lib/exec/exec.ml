@@ -32,8 +32,6 @@ let request ?(deadline_ms = 0) ?(degraded_ok = true) ?(trace = false) ?request_i
     rq_id;
   }
 
-let queries r = r.rq_queries
-let deadline_ns r = r.rq_deadline_ns
 let request_id r = r.rq_id
 
 type outcome =
@@ -130,7 +128,6 @@ let create ?(queue_depth = 128) ~workers () =
   t
 
 let size t = t.size
-let queue_depth t = t.queue_depth
 let busy t = Atomic.get t.busy_
 
 let queued t =

@@ -71,10 +71,6 @@ val request :
       [0]), a fresh id is drawn from
       [Segdb_obs.Trace.fresh_request_id]. *)
 
-val queries : request -> Vquery.t array
-val deadline_ns : request -> int
-(** Absolute deadline in [Trace.now_ns] time, [0] when none. *)
-
 val request_id : request -> int
 (** The id the request's spans and slow-query records carry. Never
     [0]. *)
@@ -121,8 +117,6 @@ val create : ?queue_depth:int -> workers:int -> unit -> t
 
 val size : t -> int
 (** Worker-domain count (fixed at creation). *)
-
-val queue_depth : t -> int
 
 val busy : t -> int
 (** Workers currently inside a job — the pool's instantaneous

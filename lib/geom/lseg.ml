@@ -27,10 +27,6 @@ let matches q s =
 
 let slope s = if s.far_u = 0.0 then 0.0 else (s.far_v -. s.base_v) /. s.far_u
 
-let compare_base a b =
-  let c = compare a.base_v b.base_v in
-  if c <> 0 then c else compare a.id b.id
-
 let compare_key a b =
   let c = compare a.base_v b.base_v in
   if c <> 0 then c

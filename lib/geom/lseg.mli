@@ -46,10 +46,6 @@ val slope : t -> float
 (** Lateral drift per unit of depth: [(far_v - base_v) / far_u]
     (0 when [far_u = 0]). *)
 
-(** Ordering along the base line; ties broken by [id] so sorting is
-    deterministic. *)
-val compare_base : t -> t -> int
-
 val compare_key : t -> t -> int
 (** The total left-to-right order [(base_v, slope, id)] under which, for
     a mutually non-crossing set, crossing positions at any depth are

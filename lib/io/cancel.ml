@@ -13,10 +13,7 @@ let create ?(deadline_ns = 0) ?flag () =
   let flag = match flag with Some f -> f | None -> Atomic.make false in
   { flag; deadline_ns = max 0 deadline_ns; deadline_on = true; polls = 0 }
 
-let flag t = t.flag
-let cancel t = Atomic.set t.flag true
 let cancelled t = Atomic.get t.flag
-let deadline_ns t = t.deadline_ns
 
 let expired t = t.deadline_ns > 0 && Segdb_obs.Trace.now_ns () > t.deadline_ns
 
@@ -32,8 +29,6 @@ let installed = Atomic.make 0
 (* Domain-local, like [Read_context.current]: installing a handle on
    one worker never affects queries running on another. *)
 let current : t option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
-
-let active () = !(Domain.DLS.get current)
 
 let install t f =
   let slot = Domain.DLS.get current in

@@ -34,13 +34,7 @@ val create : ?deadline_ns:int -> ?flag:bool Atomic.t -> unit -> t
     (0, the default, means none). [flag] shares an existing cancel
     flag between handles; a fresh one is private. *)
 
-val flag : t -> bool Atomic.t
-
-val cancel : t -> unit
-(** Flips the flag: every handle sharing it trips at its next poll. *)
-
 val cancelled : t -> bool
-val deadline_ns : t -> int
 
 val expired : t -> bool
 (** Whether the deadline (if any) has passed — always consults the
@@ -61,9 +55,6 @@ val install : t -> (unit -> 'a) -> 'a
 (** Runs the callback with the handle installed on the current domain
     (saving and restoring any previous one); storage reads inside it
     {!poll} against this handle. *)
-
-val active : unit -> t option
-(** The handle installed on the current domain, if any. *)
 
 val poll : unit -> unit
 (** The storage layer's check. No handle installed: one [Atomic.get].

@@ -100,8 +100,6 @@ let append t payload =
   t.count <- t.count + 1;
   if t.sync_every_append then Failpoint.Io.fsync t.fd
 
-let sync t = Failpoint.Io.fsync t.fd
-
 let reset t =
   Unix.ftruncate t.fd 0;
   ignore (Unix.lseek t.fd 0 Unix.SEEK_SET);

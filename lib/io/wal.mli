@@ -46,9 +46,6 @@ val audit : string -> audit
 val append : t -> string -> unit
 (** Appends one record (durably, if the log was opened with [sync]). *)
 
-val sync : t -> unit
-(** Explicit [fsync], for logs opened with [~sync:false]. *)
-
 val reset : t -> unit
 (** Checkpoint: truncates the log to empty. *)
 

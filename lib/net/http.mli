@@ -1,7 +1,7 @@
 (** A minimal HTTP/1.0 exporter, multiplexed into an existing select
     loop.
 
-    Serves the monitoring endpoints ([/metrics], [/healthz], [/varz])
+    Serves the monitoring endpoints ([/metrics], [/healthz])
     off the same domain that runs the wire-protocol accept loop: the
     owner adds {!fds} to its [select] read set and hands ready
     descriptors to {!handle} — no threading model of its own, no

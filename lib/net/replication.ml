@@ -165,8 +165,10 @@ let status t =
         t.acks_;
   }
 
-let attach t db =
-  Db.set_commit_hook db (Some (fun op -> append t (Db.encode_op op)))
+let commit t db op =
+  let changed = Db.commit db op in
+  append t (Db.encode_op op);
+  changed
 
 (* ---------------- snapshot resync ---------------- *)
 
@@ -192,7 +194,6 @@ let resync db snapshot =
 
 type tail = {
   stop : bool Atomic.t;
-  last_applied : int Atomic.t;
   dom : unit Domain.t;
   mutable joined : bool;
 }
@@ -203,7 +204,7 @@ let c_refused = Metrics.counter Metrics.default "repl.refused"
 
 (* One subscription session over one connection. Returns when the
    connection is no longer useful; the caller reconnects. *)
-let session ~gate ~db ~stream ~stop ~on_applied ~last_applied fd =
+let session ~gate ~db ~stream ~stop fd =
   Wire.send fd
     (Wire.encode_request
        (Wire.Repl_subscribe { epoch = epoch stream; from_lsn = lsn stream }));
@@ -222,15 +223,13 @@ let session ~gate ~db ~stream ~stop ~on_applied ~last_applied fd =
             List.iter
               (fun record ->
                 match Db.decode_op record with
-                | Some op -> ignore (Db.commit db op)
+                | Some op -> ignore (commit stream db op)
                 | None ->
                     (* keep the LSN aligned with upstream even for a
                        record this binary cannot decode *)
                     append stream record)
               records);
-        Atomic.set last_applied (lsn stream);
         if Control.enabled () then Metrics.add c_applied (List.length records);
-        on_applied (lsn stream);
         Wire.send fd
           (Wire.encode_request (Wire.Repl_ack { epoch = epoch stream; lsn = lsn stream }));
         true
@@ -291,11 +290,9 @@ let session ~gate ~db ~stream ~stop ~on_applied ~last_applied fd =
                    probes treat epoch adoption as proof of catch-up *)
                 set_epoch stream e;
                 reset_to stream ~lsn:l;
-                Atomic.set last_applied l;
                 if Control.enabled () then Metrics.incr c_resyncs;
                 Log.info ~comp:"repl" "snapshot resync applied" (fun () ->
                     [ Log.i "lsn" l; Log.i "deleted" deleted; Log.i "inserted" inserted ]);
-                on_applied l;
                 Wire.send fd
                   (Wire.encode_request
                      (Wire.Repl_ack { epoch = epoch stream; lsn = lsn stream }))
@@ -334,7 +331,7 @@ let session ~gate ~db ~stream ~stop ~on_applied ~last_applied fd =
               continue := false)
   done
 
-let tail_loop ~connect ~gate ~db ~stream ~stop ~on_applied ~last_applied =
+let tail_loop ~connect ~gate ~db ~stream ~stop =
   let backoff = ref 0.02 in
   while (not (Atomic.get stop)) && role stream = Replica do
     (match connect () with
@@ -344,7 +341,7 @@ let tail_loop ~connect ~gate ~db ~stream ~stop ~on_applied ~last_applied =
           ~finally:(fun () -> try Unix.close fd with Unix.Unix_error (_, _, _) -> ())
           (fun () ->
             backoff := 0.02;
-            try session ~gate ~db ~stream ~stop ~on_applied ~last_applied fd with
+            try session ~gate ~db ~stream ~stop fd with
             | Unix.Unix_error (_, _, _) -> ()
             | e ->
                 (* the tail domain must survive anything a session can
@@ -362,14 +359,10 @@ let tail_loop ~connect ~gate ~db ~stream ~stop ~on_applied ~last_applied =
     end
   done
 
-let start_tail ~connect ~gate ~db ~stream ?(on_applied = fun _ -> ()) () =
+let start_tail ~connect ~gate ~db ~stream () =
   let stop = Atomic.make false in
-  let last_applied = Atomic.make (lsn stream) in
-  let dom =
-    Domain.spawn (fun () ->
-        tail_loop ~connect ~gate ~db ~stream ~stop ~on_applied ~last_applied)
-  in
-  { stop; last_applied; dom; joined = false }
+  let dom = Domain.spawn (fun () -> tail_loop ~connect ~gate ~db ~stream ~stop) in
+  { stop; dom; joined = false }
 
 let stop_tail t = Atomic.set t.stop true
 
@@ -379,5 +372,3 @@ let join_tail t =
     t.joined <- true;
     Domain.join t.dom
   end
-
-let tail_last_applied t = Atomic.get t.last_applied

@@ -8,9 +8,9 @@
     - {!t}, one node's {e stream state}: role, fencing epoch, the
       committed LSN, an in-memory tail of recent records (what a
       reconnecting replica catches up from without a full snapshot),
-      and per-peer acknowledgements. The server feeds it through
-      [Segdb.set_commit_hook], so local writes, wire writes and
-      replicated applies all append through the same door.
+      and per-peer acknowledgements. Wire writes and replicated
+      applies both go through {!commit}, so they append through the
+      same door.
     - {!Gate}, a writer-preference reader/writer gate: served queries
       enter as readers, replicated applies (and wire writes) as the
       writer — so a replica's readers always observe a consistent
@@ -19,7 +19,7 @@
       per-domain cached readers.
     - {!tail}, the replica's subscription loop (its own domain): it
       connects upstream, subscribes from its applied LSN, applies
-      pushed records via [Segdb.commit] under the gate, acknowledges,
+      pushed records via {!commit} under the gate, acknowledges,
       and reconnects with backoff after any transport damage — the
       catch-up protocol degrades from tail records to a full
       {!Wire.response.Repl_snapshot} automatically.
@@ -68,9 +68,10 @@ val create : ?role:role -> ?epoch:int -> ?max_tail:int -> unit -> t
     in-memory record tail (default 8192); a subscriber older than the
     retained tail is caught up by snapshot instead. *)
 
-val attach : t -> Db.t -> unit
-(** Install the commit hook on [db] so every committed mutation is
-    appended to this stream. Replaces any previous hook. *)
+val commit : t -> Db.t -> Db.op -> bool
+(** [Segdb.commit] the op, then {!append} its record to the stream.
+    Returns whether the index changed. Callers hold the {!Gate} as
+    writer. *)
 
 val role : t -> role
 val epoch : t -> int
@@ -83,8 +84,8 @@ val base_lsn : t -> int
     snapshot. *)
 
 val append : t -> string -> unit
-(** Append one committed record (what {!attach}'s hook calls). May
-    drop the oldest half of the tail once it exceeds [max_tail]. *)
+(** Append one committed record (what {!commit} calls). May drop the
+    oldest half of the tail once it exceeds [max_tail]. *)
 
 val records_from : t -> int -> string list option
 (** The retained records from LSN [from] (exclusive of nothing —
@@ -140,15 +141,13 @@ val start_tail :
   gate:Gate.t ->
   db:Db.t ->
   stream:t ->
-  ?on_applied:(int -> unit) ->
   unit ->
   tail
 (** Spawn the subscription loop in its own domain. [connect] returns a
     fresh socket to the upstream primary (raising on failure — the
-    loop retries with backoff); [stream] must already be {!attach}ed
-    to [db]. The loop exits when {!stop_tail} is called or the stream
-    is promoted. [on_applied] observes the applied LSN after each
-    batch (tests and lag probes). Frames from a lower epoch than the
+    loop retries with backoff); pushed records are applied to [db]
+    through {!commit} on [stream]. The loop exits when {!stop_tail} is
+    called or the stream is promoted. Frames from a lower epoch than the
     stream's are refused: the connection is dropped and the refusal
     logged ([comp="repl"]) — a revived stale primary cannot feed a
     promoted replica. *)
@@ -158,6 +157,3 @@ val stop_tail : tail -> unit
 
 val join_tail : tail -> unit
 (** {!stop_tail} then join the domain. Idempotent. *)
-
-val tail_last_applied : tail -> int
-(** The LSN after the most recently applied batch (0 before any). *)

@@ -1,5 +1,4 @@
 module Db = Segdb_core.Segdb
-module Seg_file = Segdb_core.Seg_file
 module Exec = Segdb_exec.Exec
 module Failpoint = Segdb_io.Failpoint
 module Metrics = Segdb_obs.Metrics
@@ -8,7 +7,6 @@ module Trace = Segdb_obs.Trace
 module Export = Segdb_obs.Export
 module Log = Segdb_obs.Log
 module Slowlog = Segdb_obs.Slowlog
-module Sampler = Segdb_obs.Sampler
 
 (* ---------------- addresses ---------------- *)
 
@@ -141,7 +139,6 @@ let create ?(domains = 2) ?(queue_depth = 128) ?(deadline_ms = 5000) ?cache_bloc
     | None -> Replication.Primary
   in
   let repl = Replication.create ~role ?epoch () in
-  Replication.attach repl db;
   let gate = Replication.Gate.create () in
   let t =
     {
@@ -175,11 +172,11 @@ let create ?(domains = 2) ?(queue_depth = 128) ?(deadline_ms = 5000) ?cache_bloc
       t.tail <-
         Some
           (Replication.start_tail ~connect:(connector upstream) ~gate ~db ~stream:repl ()));
-  (* the sampler (and any scrape via [Sampler.refresh_gauges]) pulls
-     this node's serving/replication standing into the registry; every
-     value read here is atomic- or mutex-protected, so the source is
-     safe to run from the sampler's domain *)
-  Sampler.register_source
+  (* every scrape ([Metrics.refresh_gauges]) pulls this node's
+     serving/replication standing into the registry; every value read
+     here is atomic- or mutex-protected, so the source is safe to run
+     from any domain *)
+  Metrics.register_source
     ("server@" ^ addr_to_string bound)
     (fun () ->
       let acks = Replication.acks t.repl in
@@ -233,9 +230,8 @@ let obs_off_note = "observability disabled (set SEGDB_OBS=1 or serve without --n
 
 let stats_payload t fmt =
   let reg = Metrics.default in
-  (* pull gauge sources (runtime, serving, replication) to now, so a
-     scrape never reads values from the previous sampler tick *)
-  if Control.enabled () then Sampler.refresh_gauges ();
+  (* pull gauge sources (runtime, serving, replication) to now *)
+  if Control.enabled () then Metrics.refresh_gauges ();
   match fmt with
   | `Text ->
       if Control.enabled () then Export.text reg
@@ -299,8 +295,6 @@ let http_handler t path =
       { Http.status = 200; content_type = "text/plain; version=0.0.4";
         body = stats_payload t `Prometheus }
   | "/healthz" -> healthz t
-  | "/varz" ->
-      { Http.status = 200; content_type = "application/json"; body = Sampler.varz_json () }
   | _ ->
       { Http.status = 404; content_type = "application/json";
         body = Printf.sprintf "{\"error\":\"no such endpoint %s\"}\n" path }
@@ -406,8 +400,7 @@ let submit_query t conn req =
 
 (* Push pending records to every subscribed replica. Runs on the
    accept-loop domain only (right after a wire write lands, and every
-   select tick for in-process writers), so subscriber cursors need no
-   locking. *)
+   select tick), so subscriber cursors need no locking. *)
 let flush_subscribers t =
   let l = Replication.lsn t.repl in
   let e = Replication.epoch t.repl in
@@ -444,7 +437,9 @@ let handle_write t conn op =
     respond t conn
       (Wire.Error (Wire.Not_primary, "read-only replica: write to the primary or promote"))
   else begin
-    let changed = Replication.Gate.with_write t.gate (fun () -> Db.commit t.db op) in
+    let changed =
+      Replication.Gate.with_write t.gate (fun () -> Replication.commit t.repl t.db op)
+    in
     respond t conn (Wire.Applied { lsn = Replication.lsn t.repl; changed });
     flush_subscribers t
   end
@@ -716,13 +711,14 @@ let run t =
           ready);
     reap t;
     (match t.http with Some h -> Http.reap h | None -> ());
-    (* pushes records landed by in-process writers (wire writes flush
-       inline); bounds steady-state replication lag at one tick *)
+    (* wire writes flush inline; this catches records the stream gained
+       otherwise (a replica tail finishing a batch as the node is
+       promoted), bounding replication lag at one tick *)
     flush_subscribers t
   done;
   (match t.tail with Some tl -> Replication.stop_tail tl | None -> ());
   (try Unix.close t.lfd with Unix.Unix_error (_, _, _) -> ());
-  Sampler.unregister_source ("server@" ^ addr_to_string t.bound);
+  Metrics.unregister_source ("server@" ^ addr_to_string t.bound);
   (match t.http with
   | Some h ->
       Http.close h;
@@ -783,15 +779,3 @@ let wait t =
   | Some d ->
       t.runner <- None;
       Domain.join d
-
-(* ---------------- db loading ---------------- *)
-
-let sniff_magic path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> try really_input_string ic 8 with End_of_file -> "")
-
-let open_or_build ?(backend = `Solution2) ?(block = 64) path =
-  if sniff_magic path = "SEGDBSNP" then Db.open_db path
-  else Db.create ~backend ~block (Seg_file.load path)

@@ -99,12 +99,12 @@ val serve_metrics : t -> addr -> addr
     the accept loop: [GET /metrics] (Prometheus exposition, gauges
     refreshed at scrape time), [GET /healthz] (role / epoch / LSN /
     progress / queue and pool occupancy / per-peer lag as JSON; 200
-    healthy, 503 stopping or stalled replica), [GET /varz] (the
-    sampler's ring as JSON). Returns the bound address (kernel-chosen
-    port for TCP port 0). Call before {!run}/{!start}; raises
-    [Unix.Unix_error] if the address cannot be bound. The endpoints
-    answer even with observability off ([/metrics] then leads with a
-    "disabled" comment) — health must not depend on metrics being on. *)
+    healthy, 503 stopping or stalled replica). Returns the bound
+    address (kernel-chosen port for TCP port 0). Call before
+    {!run}/{!start}; raises [Unix.Unix_error] if the address cannot be
+    bound. The endpoints answer even with observability off
+    ([/metrics] then leads with a "disabled" comment) — health must not
+    depend on metrics being on. *)
 
 val metrics_addr : t -> addr option
 (** The exporter's bound address, when {!serve_metrics} was called. *)
@@ -138,9 +138,3 @@ val kill : t -> unit
 val wait : t -> unit
 (** Join a server started with {!start} (returns immediately if {!run}
     already returned). *)
-
-val open_or_build : ?backend:Db.backend -> ?block:int -> string -> Db.t
-(** Load a database for serving: a file with the snapshot magic is
-    reopened via [Db.open_db], anything else is parsed as a text
-    segment file and indexed with [backend]/[block] (defaults:
-    [`Solution2], 64). Used by [segdb_server]. *)

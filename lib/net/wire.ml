@@ -75,8 +75,6 @@ let protocol_error_to_string = function
   | Unknown_tag t -> Printf.sprintf "unknown frame tag %d" t
   | Malformed m -> "malformed frame body: " ^ m
 
-let pp_protocol_error ppf e = Format.pp_print_string ppf (protocol_error_to_string e)
-
 let error_code_to_string = function
   | Overloaded -> "overloaded"
   | Deadline -> "deadline exceeded"

@@ -173,7 +173,6 @@ val max_frame : int
 val header_bytes : int
 (** Frame header size: 8. *)
 
-val pp_protocol_error : Format.formatter -> protocol_error -> unit
 val protocol_error_to_string : protocol_error -> string
 val error_code_to_string : error_code -> string
 

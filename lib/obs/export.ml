@@ -180,6 +180,98 @@ let prometheus ?(labels = []) reg =
     (Metrics.histograms reg);
   Buffer.contents buf
 
+(* ---------------- parsing the exposition back ---------------- *)
+
+type scrape = {
+  values : (string * float) list;
+  buckets : (string * float * float) list;
+}
+
+let parse_le line from =
+  let tag = "le=\"" in
+  let tl = String.length tag in
+  let n = String.length line in
+  let rec find i =
+    if i + tl > n then None
+    else if String.sub line i tl = tag then
+      match String.index_from_opt line (i + tl) '"' with
+      | Some j -> (
+          match String.sub line (i + tl) (j - i - tl) with
+          | "+Inf" -> Some Float.infinity
+          | s -> float_of_string_opt s)
+      | None -> None
+    else find (i + 1)
+  in
+  find from
+
+let parse_prometheus text =
+  let values = ref [] and buckets = ref [] in
+  List.iter
+    (fun line ->
+      if line <> "" && line.[0] <> '#' then
+        let name_end =
+          match (String.index_opt line '{', String.index_opt line ' ') with
+          | Some i, Some j -> Some (min i j)
+          | Some i, None -> Some i
+          | None, j -> j
+        in
+        (* without labels the name ends at the value's own space *)
+        match (name_end, String.rindex_opt line ' ') with
+        | Some i, Some sp when sp >= i -> (
+            let name = String.sub line 0 i in
+            match float_of_string_opt (String.sub line (sp + 1) (String.length line - sp - 1)) with
+            | None -> ()
+            | Some v ->
+                if Filename.check_suffix name "_bucket" then (
+                  let base = String.sub name 0 (String.length name - 7) in
+                  match parse_le line i with
+                  | Some le -> buckets := (base, le, v) :: !buckets
+                  | None -> ())
+                else values := (name, v) :: !values)
+        | _ -> ())
+    (String.split_on_char '\n' text);
+  { values = List.rev !values; buckets = List.rev !buckets }
+
+let value sc name = List.assoc_opt name sc.values
+
+let delta prev cur name =
+  match (value prev name, value cur name) with
+  | Some a, Some b when b >= a -> Some (b -. a)
+  | Some _, Some _ -> Some 0.0
+  | _, _ -> None
+
+let bucket_series sc name =
+  List.filter_map (fun (b, le, c) -> if b = name then Some (le, c) else None) sc.buckets
+
+(* cumulative count at [le]: the value of the largest emitted bound at
+   or below it (cumulative series are monotone in le) *)
+let cum_at series le =
+  List.fold_left (fun acc (l, c) -> if l <= le then Float.max acc c else acc) 0.0 series
+
+let window_percentile prev cur name p =
+  let cs = bucket_series cur name in
+  if cs = [] then None
+  else begin
+    let ps = bucket_series prev name in
+    let adj = List.map (fun (le, c) -> (le, Float.max 0.0 (c -. cum_at ps le))) cs in
+    let total = List.fold_left (fun acc (_, c) -> Float.max acc c) 0.0 adj in
+    if total <= 0.0 then None
+    else begin
+      let rank = p *. total in
+      let rec walk lo lo_cum = function
+        | [] -> Some lo
+        | (le, c) :: rest ->
+            if c >= rank then
+              if Float.is_finite le then
+                let frac = if c > lo_cum then (rank -. lo_cum) /. (c -. lo_cum) else 1.0 in
+                Some (lo +. (frac *. (le -. lo)))
+              else Some lo
+            else walk le c rest
+      in
+      walk 0.0 0.0 adj
+    end
+  end
+
 (* ---------------- trace rendering ---------------- *)
 
 let trace_text events =

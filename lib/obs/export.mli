@@ -23,6 +23,39 @@ val prometheus : ?labels:(string * string) list -> Metrics.t -> string
     quote and newline), so an arbitrary address or path cannot corrupt
     the output. *)
 
+(** {1 Reading the exposition back}
+
+    Rates and windowed percentiles are derived by whoever reads two
+    scrapes of {!prometheus} output — [segdb_cli top], a Prometheus
+    server — not kept by the process being scraped. *)
+
+type scrape = {
+  values : (string * float) list;
+      (** plain samples keyed by metric name, labels stripped *)
+  buckets : (string * float * float) list;
+      (** histogram rows: (base name, [le] bound, cumulative count) *)
+}
+
+val parse_prometheus : string -> scrape
+(** Parses exposition text (as {!prometheus} writes it, with or
+    without labels). Comment lines and unparsable samples are
+    skipped. *)
+
+val value : scrape -> string -> float option
+(** The sample named [name] (e.g. ["segdb_net_requests"]). *)
+
+val delta : scrape -> scrape -> string -> float option
+(** [delta prev cur name]: how far a counter moved between two
+    scrapes. A counter that went backwards (a registry reset or a
+    restart) reads 0, never a negative delta. [None] unless both
+    scrapes carry the sample. *)
+
+val window_percentile : scrape -> scrape -> string -> float -> float option
+(** [window_percentile prev cur name p]: the [p]-quantile of the
+    samples histogram [name] received between the two scrapes, by
+    diffing the cumulative bucket series and interpolating inside the
+    landing bucket. [None] when the window holds no samples. *)
+
 val trace_text : Trace.event list -> string
 (** The span dump: one line per event, indented by nesting depth. *)
 

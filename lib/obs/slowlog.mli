@@ -33,10 +33,6 @@ val note : wall_ns:int -> (unit -> entry) -> unit
 (** [note ~wall_ns mk] records [mk ()] iff a threshold is armed and
     [wall_ns] clears it; [mk] is only forced then. *)
 
-val record : entry -> unit
-(** Unconditionally push an entry (callers that did their own
-    threshold check). *)
-
 val entries : unit -> entry list
 (** Retained entries, oldest first. *)
 

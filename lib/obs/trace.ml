@@ -60,7 +60,6 @@ let fresh_request_id () =
 let rid_key = Domain.DLS.new_key (fun () -> ref 0)
 
 let current_request_id () = !(Domain.DLS.get rid_key)
-let set_request_id rid = Domain.DLS.get rid_key := rid
 
 let with_request_id rid f =
   let r = Domain.DLS.get rid_key in
@@ -106,8 +105,6 @@ let set_capacity n =
           Ring.resize r n)
         !rings;
       Atomic.set next_seq 0)
-
-let capacity () = Atomic.get cap
 
 let clear () =
   locked (fun () ->

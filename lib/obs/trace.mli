@@ -44,11 +44,6 @@ val fresh_request_id : unit -> int
 val current_request_id : unit -> int
 (** The calling domain's current request id; 0 when none is set. *)
 
-val set_request_id : int -> unit
-(** Sets the calling domain's request id; spans entered afterwards on
-    this domain are attributed to it. Prefer {!with_request_id} where
-    the extent is lexical. *)
-
 val with_request_id : int -> (unit -> 'a) -> 'a
 (** [with_request_id rid f] runs [f] with the calling domain's request
     id set to [rid], restoring the previous id afterwards (also on
@@ -82,7 +77,8 @@ val record :
 
 val events : unit -> event list
 (** The surviving events of every domain's ring, merged, oldest first
-    (by [seq]). Each domain retains at most [capacity ()] events. *)
+    (by [seq]). Each domain retains at most the {!set_capacity} bound
+    of events. *)
 
 val clear : unit -> unit
 
@@ -90,8 +86,6 @@ val set_capacity : int -> unit
 (** Replaces the rings (discarding recorded events); the capacity is
     per domain. Default 4096. Raises [Invalid_argument] when not
     positive. *)
-
-val capacity : unit -> int
 
 val span_histogram : string -> string
 (** [span_histogram phase] is the name of the duration histogram the

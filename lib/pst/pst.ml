@@ -322,9 +322,6 @@ let find_profile t (q : Lseg.query) ~leftmost =
   done;
   { result = !best; visited = !visited; max_width = !max_width; levels = !levels }
 
-let find_leftmost_bfs t q = (find_profile t q ~leftmost:true).result
-let find_rightmost_bfs t q = (find_profile t q ~leftmost:false).result
-
 (* The paper's literal two-phase Report (Appendix A, Algorithm 2):
    locate the deepest-leftmost and deepest-rightmost intersected
    segments, then report the 3-sided set {key in [sl, sr], far_u >= uq}

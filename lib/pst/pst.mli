@@ -109,8 +109,6 @@ type find_profile = {
 }
 
 val find_profile : t -> Lseg.query -> leftmost:bool -> find_profile
-val find_leftmost_bfs : t -> Lseg.query -> Lseg.t option
-val find_rightmost_bfs : t -> Lseg.query -> Lseg.t option
 
 val query_two_phase : t -> Lseg.query -> f:(Lseg.t -> unit) -> unit
 (** The paper's Report as written (Appendix A, Algorithm 2): [Find]

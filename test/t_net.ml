@@ -634,8 +634,9 @@ let test_http_metrics_scrape () =
       Alcotest.(check bool) "prometheus exposition" true (contains resp "# TYPE segdb_");
       Alcotest.(check bool) "request counter exported" true
         (contains resp "segdb_net_requests");
-      (* scrape-time refresh publishes replication and pool gauges even
-         though the background sampler is not running *)
+      (* the scrape itself refreshes the runtime, replication and pool
+         gauges *)
+      Alcotest.(check bool) "runtime gauges" true (contains resp "segdb_runtime_heap_words");
       Alcotest.(check bool) "replication gauges" true (contains resp "segdb_repl_epoch");
       Alcotest.(check bool) "pool gauges" true (contains resp "segdb_exec_pool_workers");
       let hz = http_get maddr "/healthz" in

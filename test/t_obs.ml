@@ -693,84 +693,44 @@ let test_prometheus_label_escaping () =
                if float_of_string_opt v = None then
                  Alcotest.fail ("prometheus value not numeric: " ^ line))
 
-(* ---------------- sampler ---------------- *)
+(* ---------------- rates from two scrapes ---------------- *)
 
-let sec = 1_000_000_000
+(* What [segdb_cli top] and a Prometheus server do: render the
+   registry, parse it back, diff two scrapes. The registry is
+   unlabelled, so every sample line is "name value" with no braces. *)
+let scrape reg = Export.parse_prometheus (Export.prometheus reg)
 
-(* deterministic ticks via ~now_ns: a 1s interval with a +50 counter
-   move is a 50/s rate, and a counter that moves backwards (registry
-   reset = process restart) clamps to zero instead of going negative *)
-let test_sampler_rates_and_reset () =
-  Sampler.set_capacity 120;
-  let c = Metrics.counter Metrics.default "t.sampler.reqs" in
-  Sampler.tick ~now_ns:(1 * sec) ();
+let test_scrape_rates_and_reset () =
+  let reg = Metrics.create () in
+  let c = Metrics.counter reg "t.scrape.reqs" in
+  let s0 = scrape reg in
   Metrics.add c 50;
-  Sampler.tick ~now_ns:(2 * sec) ();
-  let r = List.assoc "t.sampler.reqs" (Sampler.rates ()) in
-  Alcotest.(check (float 0.01)) "50/s over 1s" 50.0 r;
-  Alcotest.(check int) "rate republished as gauge" 50
-    (List.assoc "rate.t.sampler.reqs.per_s" (Metrics.gauges Metrics.default));
-  Metrics.reset Metrics.default;
+  let s1 = scrape reg in
+  Alcotest.(check (option (float 0.01))) "+50 between scrapes reads 50" (Some 50.0)
+    (Export.delta s0 s1 "segdb_t_scrape_reqs");
+  (* a counter that moves backwards (registry reset = process restart)
+     reads 0 instead of going negative *)
+  Metrics.reset reg;
   Metrics.add c 5;
-  Sampler.tick ~now_ns:(3 * sec) ();
-  let r = List.assoc "t.sampler.reqs" (Sampler.rates ()) in
-  Alcotest.(check (float 0.0001)) "reset clamps the rate to 0" 0.0 r
+  let s2 = scrape reg in
+  Alcotest.(check (option (float 0.0001))) "reset reads 0" (Some 0.0)
+    (Export.delta s1 s2 "segdb_t_scrape_reqs")
 
-let test_sampler_window_p99 () =
-  Sampler.set_watched [ "t.sampler.lat" ];
-  Sampler.tick ~now_ns:(10 * sec) ();
+let test_scrape_window_p99 () =
+  let reg = Metrics.create () in
+  let s0 = scrape reg in
   for _ = 1 to 100 do
-    Metrics.observe Metrics.default "t.sampler.lat" 1000
+    Metrics.observe reg "t.scrape.lat" 1000
   done;
-  Sampler.tick ~now_ns:(11 * sec) ();
-  (match Sampler.window_p99 "t.sampler.lat" with
+  let s1 = scrape reg in
+  match Export.window_percentile s0 s1 "segdb_t_scrape_lat" 0.99 with
   | None -> Alcotest.fail "expected a windowed p99"
   | Some p ->
       (* every sample was 1000, so the p99 lands inside 1000's dyadic
          bucket *)
-      Alcotest.(check bool) "p99 inside the sample's bucket" true (p >= 256. && p <= 2048.));
-  Alcotest.(check bool) "window gauge published" true
-    (List.mem_assoc "window.t.sampler.lat.p99" (Metrics.gauges Metrics.default));
-  Sampler.set_watched [ "exec.request.ns"; "net.request.ns" ]
-
-let test_sampler_ring_bounded () =
-  Sampler.set_capacity 5;
-  for i = 20 to 40 do
-    Sampler.tick ~now_ns:(i * sec) ()
-  done;
-  let ss = Sampler.samples () in
-  Alcotest.(check int) "capacity enforced" 5 (List.length ss);
-  (match ss with
-  | first :: _ -> Alcotest.(check int) "oldest survivor is t=36s" (36 * sec) first.Sampler.at_ns
-  | [] -> Alcotest.fail "empty ring");
-  Alcotest.(check int) "newest is t=40s" (40 * sec) (List.nth ss 4).Sampler.at_ns;
-  (* shrinking a live ring trims immediately *)
-  Sampler.set_capacity 2;
-  Alcotest.(check int) "shrink trims" 2 (List.length (Sampler.samples ()));
-  Sampler.set_capacity 120
-
-let test_sampler_start_stop () =
-  Sampler.start ~interval_ms:5 ();
-  Alcotest.(check bool) "running" true (Sampler.running ());
-  Unix.sleepf 0.05;
-  Sampler.stop ();
-  Alcotest.(check bool) "stopped" false (Sampler.running ());
-  Alcotest.(check bool) "background ticks accumulated" true
-    (List.length (Sampler.samples ()) > 0);
-  Alcotest.(check bool) "runtime gauges published" true
-    (List.mem_assoc "runtime.heap_words" (Metrics.gauges Metrics.default));
-  Alcotest.(check bool) "varz JSON balanced" true (json_balanced (Sampler.varz_json ()))
-
-(* the off-discipline: a disarmed sampler costs one atomic load and
-   zero allocation on the hot path *)
-let test_sampler_disarmed_cost () =
-  Alcotest.(check bool) "disarmed" false (Sampler.running ());
-  let w0 = Gc.minor_words () in
-  for _ = 1 to 10_000 do
-    ignore (Sys.opaque_identity (Sampler.running ()))
-  done;
-  let dw = Gc.minor_words () -. w0 in
-  Alcotest.(check bool) "no allocation when disarmed" true (dw < 256.)
+      let lo, hi = Histogram.bucket_bounds (Histogram.bucket_of 1000) in
+      Alcotest.(check bool) "p99 inside the sample's bucket" true
+        (p >= float_of_int lo && p <= float_of_int hi)
 
 let suite =
   ( "obs",
@@ -797,9 +757,6 @@ let suite =
       qtest prop_tracing_is_transparent;
       Alcotest.test_case "exporters: text/json/prometheus" `Quick test_exporters;
       Alcotest.test_case "prometheus label escaping" `Quick test_prometheus_label_escaping;
-      Alcotest.test_case "sampler: rates + reset clamp" `Quick test_sampler_rates_and_reset;
-      Alcotest.test_case "sampler: windowed p99" `Quick test_sampler_window_p99;
-      Alcotest.test_case "sampler: bounded ring eviction" `Quick test_sampler_ring_bounded;
-      Alcotest.test_case "sampler: start/stop lifecycle" `Quick test_sampler_start_stop;
-      Alcotest.test_case "sampler: disarmed costs nothing" `Quick test_sampler_disarmed_cost;
+      Alcotest.test_case "sampler: rates + reset clamp" `Quick test_scrape_rates_and_reset;
+      Alcotest.test_case "sampler: windowed p99" `Quick test_scrape_window_p99;
     ] )

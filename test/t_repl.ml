@@ -309,9 +309,7 @@ let test_fencing_refusals () =
    machinery: feed the replica-side session logic a lower-epoch batch
    via the stream API. *)
 let test_stale_records_refused () =
-  let db = build_db ~n:0 () in
   let stream = Repl.create ~role:Repl.Replica () in
-  Repl.attach stream db;
   Repl.set_epoch stream 3;
   (* lower-epoch data: the tail would drop the connection; here we
      check the decision point the server enforces on ack/subscribe *)
