@@ -144,12 +144,13 @@ module Db = Segdb_core.Segdb
 module Exec = Segdb_exec.Exec
 
 (* Parallel round: every backend answers a random query batch three
-   times — serially, via [Exec.run] on the default pool (the
-   cooperative fan-out across [domains]), and through [Exec.submit] on
-   the same pool (the server's admission path) — and the answers must be
-   identical, element by element. A second batch runs after a burst of
-   inserts and deletes so the cross-check also covers indexes reshaped
-   by mutation (rebuilt PSTs, split blocks). *)
+   times — serially, via [Exec.run] on the round's own pool (the
+   cooperative fan-out across [domains] participants: the caller plus
+   [domains - 1] workers), and through [Exec.submit] on the same pool
+   (the server's admission path) — and the answers must be identical,
+   element by element. A second batch runs after a burst of inserts and
+   deletes so the cross-check also covers indexes reshaped by mutation
+   (rebuilt PSTs, split blocks). *)
 
 let run_parallel_round ~seed ~ops ~size ~domains round =
   let seed = seed + (round * 31337) in
@@ -195,13 +196,14 @@ let run_parallel_round ~seed ~ops ~size ~domains round =
         let y = Rng.float rng 200.0 in
         Vquery.segment ~x ~ylo:y ~yhi:(y +. Rng.float rng 60.0)
   in
+  let pool = Exec.create ~workers:(domains - 1) () in
   let cross_check label =
     let qs = Array.init (max 1 ops) (fun _ -> random_query ()) in
     List.iter
       (fun (name, db) ->
         let serial = Array.map (Db.query_ids db) qs in
         let par =
-          match Exec.run (Exec.default ()) db (Exec.request ~degraded_ok:false qs) ~domains with
+          match Exec.run pool db (Exec.request qs) ~domains with
           | Exec.Ok out, _ -> out
           | o, _ ->
               fail "%s: %s engine cut the batch short: %s" label name
@@ -215,7 +217,7 @@ let run_parallel_round ~seed ~ops ~size ~domains round =
                 (List.length serial.(i))
                 (Format.asprintf "%a" Vquery.pp qs.(i)))
           par;
-        let tk = Exec.submit (Exec.default ()) db (Exec.request qs) in
+        let tk = Exec.submit pool db (Exec.request qs) in
         (match Exec.await tk with
         | Exec.Ok out ->
             Array.iteri
@@ -230,6 +232,7 @@ let run_parallel_round ~seed ~ops ~size ~domains round =
                  (Format.asprintf "%a" Exec.pp_outcome o)))
       dbs
   in
+  Fun.protect ~finally:(fun () -> Exec.shutdown pool) @@ fun () ->
   cross_check "fresh build";
   (* reshape the indexes, then cross-check again *)
   for _ = 1 to max 1 (size / 4) do
@@ -938,8 +941,9 @@ let parallel_t =
     & info [ "parallel" ]
         ~doc:
           "Parallel-read cross-checks: every backend answers random query batches through \
-           $(b,Exec.run) on the default pool and through $(b,Exec.submit), and the answers \
-           must match the serial ones exactly, both on fresh builds and after mutation.")
+           $(b,Exec.run) on the round's own pool and through $(b,Exec.submit), and the \
+           answers must match the serial ones exactly, both on fresh builds and after \
+           mutation.")
 
 let crash_t =
   Arg.(
@@ -978,7 +982,9 @@ let replica_t =
 let domains_t =
   Arg.(
     value & opt int 4
-    & info [ "domains" ] ~docv:"N" ~doc:"Worker domains for $(b,--parallel) rounds.")
+    & info [ "domains" ] ~docv:"N"
+        ~doc:
+          "Domains answering each $(b,--parallel) batch: the caller plus N-1 pool workers.")
 
 let cmd =
   let doc = "model-based stress test across all index backends" in

@@ -266,18 +266,18 @@ let local_or_remote ~cmd ~connect ~file ~local ~remote =
   | Some addrs -> with_client addrs (fun c -> remote (Client.endpoint c) c)
   | None -> local (require_file cmd file)
 
-(* Answer a batch on the process-wide execution pool — the same engine
-   the network server submits frames to, so local and served batches
-   share scheduling, deadline and degraded-result semantics. Returns
-   the per-query results (partial after a deadline), the per-domain
-   accounting, and an annotation for anything short of a complete
-   answer. *)
+(* Answer a batch on a pool of [domains - 1] workers plus the calling
+   domain — the same engine the network server submits frames to, so
+   local and served batches share scheduling, deadline and
+   degraded-result semantics. Returns the per-query results (partial
+   after a deadline), the per-domain accounting, the pool size, and an
+   annotation for anything short of a complete answer. *)
 let exec_batch ?(deadline_ms = 0) db qs ~domains =
-  if domains > 1 then Exec.set_default_workers (domains - 1);
-  let pool = Exec.default () in
-  let readers = Array.init domains (fun _ -> Db.reader db) in
+  let pool = Exec.create ~workers:(domains - 1) () in
   let outcome, wstats =
-    Exec.run ~readers pool db (Exec.request ~deadline_ms qs) ~domains
+    Fun.protect
+      ~finally:(fun () -> Exec.shutdown pool)
+      (fun () -> Exec.run pool db (Exec.request ~deadline_ms qs) ~domains)
   in
   let results, note =
     match outcome with
@@ -289,13 +289,9 @@ let exec_batch ?(deadline_ms = 0) db qs ~domains =
           Some
             (Printf.sprintf "deadline of %dms exceeded: %d of %d queries answered"
                deadline_ms completed (Array.length qs)) )
-    | Exec.Cancelled { partial; completed } ->
-        ( partial,
-          Some (Printf.sprintf "cancelled after %d of %d queries" completed (Array.length qs))
-        )
     | Exec.Overloaded -> assert false (* [run] participates inline; it is never refused *)
   in
-  (results, wstats, note)
+  (results, wstats, Exec.size pool, note)
 
 (* One line per query, shared by the local and remote batch paths. *)
 let print_results ~verbose qs results =
@@ -583,15 +579,13 @@ let batch_local file backend block pool domains deadline_ms qs verbose =
   let segs = Seg_file.load file in
   let db = Db.create ~backend ~block ~pool_blocks:pool segs in
   let t0 = Unix.gettimeofday () in
-  let results, wstats, note = exec_batch ~deadline_ms db qs ~domains in
+  let results, wstats, pool_size, note = exec_batch ~deadline_ms db qs ~domains in
   let dt = Unix.gettimeofday () -. t0 in
   print_results ~verbose qs results;
   let reads = Array.fold_left (fun acc (w : Exec.worker_stats) -> acc + w.reads) 0 wstats in
   let answered = Array.fold_left (fun acc (w : Exec.worker_stats) -> acc + w.queries) 0 wstats in
   Printf.printf "%d queries, %d domains (pool of %d): %.3fs (%.0f queries/sec, %d block reads)\n"
-    (Array.length qs) domains
-    (Exec.size (Exec.default ()))
-    dt
+    (Array.length qs) domains pool_size dt
     (float_of_int answered /. Float.max dt 1e-9)
     reads;
   (match note with None -> () | Some n -> Printf.printf "note: %s\n" n);

@@ -3,8 +3,8 @@
    Serves one database (a text segment file or a snapshot, detected by
    magic) over the binary wire protocol on TCP or a Unix socket. The
    accept loop submits decoded frames to a persistent Segdb_exec pool
-   (bounded admission, per-request deadlines, cooperative
-   cancellation), each worker with a private read context;
+   (bounded admission, per-request deadlines checked down to each
+   block fetch), each worker with a private read context;
    SIGTERM/SIGINT or a client shutdown frame drains gracefully.
 
      segdb_server roads.seg --addr 127.0.0.1:4090 --domains 4

@@ -12,7 +12,6 @@ val load : string -> Segment.t array
 (** Raises [Failure] with a line-numbered message on malformed input. *)
 
 val to_channel : out_channel -> Segment.t array -> unit
-val of_channel : in_channel -> Segment.t array
 
 (** {1 Binary form}
 

@@ -64,7 +64,6 @@ val generation : t -> int
     block shard may hold stale pages and must be rebuilt. *)
 
 val query : t -> Vquery.t -> Segment.t list
-val query_iter : t -> Vquery.t -> f:(Segment.t -> unit) -> unit
 val query_ids : t -> Vquery.t -> int list
 val count : t -> Vquery.t -> int
 

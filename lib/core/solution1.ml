@@ -329,15 +329,6 @@ let rec blocks_rec t addr =
 
 let block_count t = blocks_rec t t.root
 
-let rec height_rec t addr =
-  if addr = Block_store.null then 0
-  else
-    match Store.read t.store addr with
-    | Leaf _ -> 1
-    | Node n -> 1 + max (height_rec t n.left) (height_rec t n.right)
-
-let height t = height_rec t t.root
-
 let check_invariants t =
   let ok = ref true in
   let fail () = ok := false in

@@ -25,5 +25,4 @@
 
 include Vs_index.S
 
-val height : t -> int
 val check_invariants : t -> bool

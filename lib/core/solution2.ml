@@ -402,15 +402,6 @@ let rec blocks_rec t addr =
 
 let block_count t = blocks_rec t t.root
 
-let rec height_rec t addr =
-  if addr = Block_store.null then 0
-  else
-    match Store.read t.store addr with
-    | Leaf _ -> 1
-    | Node n -> 1 + Array.fold_left (fun acc kid -> max acc (height_rec t kid)) 0 n.kids
-
-let height t = height_rec t t.root
-
 let rec cascade_rec t addr =
   if addr = Block_store.null then (0, 0)
   else

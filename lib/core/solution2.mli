@@ -21,7 +21,6 @@
 
 include Vs_index.S
 
-val height : t -> int
 val check_invariants : t -> bool
 
 val cascade_counters : t -> int * int

@@ -9,7 +9,6 @@ type experiment = {
 }
 
 val all : experiment list
-val find : string -> experiment option
 
 val run_ids : ?params:Harness.params -> string list -> unit
 (** Runs the listed experiments (all when the list is empty) and prints

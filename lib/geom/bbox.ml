@@ -26,8 +26,6 @@ let contains outer inner =
 
 let area b = (b.maxx -. b.minx) *. (b.maxy -. b.miny)
 
-let margin b = (b.maxx -. b.minx) +. (b.maxy -. b.miny)
-
 let enlargement box extra = area (union box extra) -. area box
 
 let center b = (0.5 *. (b.minx +. b.maxx), 0.5 *. (b.miny +. b.maxy))

@@ -12,7 +12,6 @@ val union : t -> t -> t
 val intersects : t -> t -> bool
 val contains : t -> t -> bool
 val area : t -> float
-val margin : t -> float
 
 val enlargement : t -> t -> float
 (** [enlargement box extra]: area growth of [box] if extended to cover

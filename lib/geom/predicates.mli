@@ -13,10 +13,6 @@ val orient : ipoint -> ipoint -> ipoint -> int
 (** Sign of the cross product [(b - a) x (c - a)]: [+1] if [c] is left
     of the directed line [a]->[b], [-1] if right, [0] if collinear. *)
 
-val on_segment : ipoint -> iseg -> bool
-(** [on_segment p s]: [p] lies on the closed segment [s] (collinear and
-    within the bounding box). *)
-
 val crosses : iseg -> iseg -> bool
 (** True iff the pair violates the NCT property: the segments intersect
     at a point interior to both, or they are collinear and overlap in

@@ -1,7 +1,5 @@
 type t = { c : float; s : float }
 
-let identity = { c = 1.0; s = 0.0 }
-
 let rotation ~angle = { c = cos angle; s = sin angle }
 
 (* A direction (1, m) must map to (0, _): choose angle a with

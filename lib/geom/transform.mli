@@ -11,8 +11,6 @@
 type t
 (** A rotation around the origin. *)
 
-val identity : t
-
 val rotation : angle:float -> t
 (** Counter-clockwise rotation by [angle] radians. *)
 

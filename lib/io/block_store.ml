@@ -22,7 +22,6 @@ module Pool = struct
   let hits t = Lru.hits t.lru
   let misses t = Lru.misses t.lru
   let note_miss t = Lru.note_miss t.lru
-  let reset_stats t = Lru.reset_stats t.lru
 end
 
 module Make (P : sig

@@ -44,8 +44,6 @@ module Pool : sig
 
   val misses : t -> int
   (** Serial-path lookups that had to fetch the block from disk. *)
-
-  val reset_stats : t -> unit
 end
 
 module Make (P : sig

@@ -1,21 +1,17 @@
-type reason = Deadline | Explicit
-
-exception Cancelled of reason
+exception Expired
 
 type t = {
-  flag : bool Atomic.t;
-  deadline_ns : int; (* absolute, 0 = none *)
+  deadline_ns : int; (* absolute on [now_ns], 0 = none *)
   mutable deadline_on : bool;
   mutable polls : int; (* domain-local by construction: handles are per-worker *)
 }
 
-let create ?(deadline_ns = 0) ?flag () =
-  let flag = match flag with Some f -> f | None -> Atomic.make false in
-  { flag; deadline_ns = max 0 deadline_ns; deadline_on = true; polls = 0 }
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
-let cancelled t = Atomic.get t.flag
+let create ~deadline_ns =
+  { deadline_ns = max 0 deadline_ns; deadline_on = true; polls = 0 }
 
-let expired t = t.deadline_ns > 0 && Segdb_obs.Trace.now_ns () > t.deadline_ns
+let expired deadline_ns = deadline_ns > 0 && now_ns () > deadline_ns
 
 let set_deadline_enabled t on = t.deadline_on <- on
 
@@ -42,13 +38,9 @@ let install t f =
     f
 
 let check t =
-  if Atomic.get t.flag then raise (Cancelled Explicit);
   if t.deadline_ns > 0 && t.deadline_on then begin
     t.polls <- t.polls + 1;
-    if
-      t.polls land (poll_stride - 1) = 0
-      && Segdb_obs.Trace.now_ns () > t.deadline_ns
-    then raise (Cancelled Deadline)
+    if t.polls land (poll_stride - 1) = 0 && expired t.deadline_ns then raise Expired
   end
 
 let poll () =

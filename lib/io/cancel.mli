@@ -1,51 +1,51 @@
-(** Cooperative cancellation and deadlines for the read path.
+(** Cooperative deadlines for the read path.
 
-    A {e handle} carries an explicit-cancel flag and an optional
-    absolute deadline. The execution engine ({!Segdb_exec}) installs a
-    handle on the current domain around each query; the storage layer
-    calls {!poll} at block-fetch granularity ({!Block_store.Make.read}),
-    so an expired or cancelled request stops issuing I/O instead of
-    running to completion.
+    A {e handle} carries an absolute deadline. The execution engine
+    ({!Segdb_exec}) installs a handle on the current domain around a
+    request's queries; the storage layer calls {!poll} at block-fetch
+    granularity ({!Block_store.Make.read}), so an expired request stops
+    issuing I/O instead of running to completion.
+
+    Deadlines live on {!now_ns}, a monotonic clock: a step of the wall
+    clock moves no in-flight deadline. (Spans, histograms and slow-log
+    stamps stay on [Segdb_obs.Trace.now_ns], the wall clock, because
+    client and server spans are stitched across processes by wall
+    time.)
 
     Cost discipline mirrors {!Failpoint} and {!Segdb_obs.Control}: with
     no handle installed anywhere in the process, {!poll} is a single
-    [Atomic.get]. With a handle installed, the cancel flag is one more
-    [Atomic.get] per poll and the deadline consults the monotonic clock
-    only every {!poll_stride} polls — a handful of nanoseconds
-    amortized over a block fetch.
+    [Atomic.get]. With a handle installed, the deadline consults the
+    clock only every {!poll_stride} polls — a handful of nanoseconds
+    amortized over a block fetch. Poll counters are per handle, and a
+    handle is used by one domain: each participant of a parallel batch
+    installs its own. *)
 
-    Handles may share one cancel flag (pass [~flag]): the parallel
-    batch path gives every worker domain its own handle — poll counters
-    are domain-local — while a single flip of the shared flag stops all
-    of them. *)
-
-type reason = Deadline | Explicit
-
-exception Cancelled of reason
+exception Expired
 (** Raised out of {!poll} (and therefore out of a storage read) when
-    the installed handle is cancelled or past its deadline. Queries
-    never mutate shared state, so unwinding mid-traversal is safe; the
-    execution engine catches this at the per-query boundary. *)
+    the installed handle is past its deadline. Queries never mutate
+    shared state, so unwinding mid-traversal is safe; the execution
+    engine catches this at the per-query boundary. *)
+
+val now_ns : unit -> int
+(** The deadline clock: [CLOCK_MONOTONIC] in nanoseconds, from an
+    arbitrary origin. Only differences and comparisons mean anything. *)
 
 type t
 
-val create : ?deadline_ns:int -> ?flag:bool Atomic.t -> unit -> t
-(** [deadline_ns] is an {e absolute} [Segdb_obs.Trace.now_ns] instant
-    (0, the default, means none). [flag] shares an existing cancel
-    flag between handles; a fresh one is private. *)
+val create : deadline_ns:int -> t
+(** [deadline_ns] is an {e absolute} {!now_ns} instant; [0] means
+    none. *)
 
-val cancelled : t -> bool
-
-val expired : t -> bool
-(** Whether the deadline (if any) has passed — always consults the
-    clock; used between work units where precision beats cheapness. *)
+val expired : int -> bool
+(** [expired deadline_ns]: whether that absolute deadline ([0] = none)
+    has passed — always consults the clock; used between work units
+    where precision beats cheapness. *)
 
 val set_deadline_enabled : t -> bool -> unit
-(** While [false], {!poll} ignores the deadline (the explicit flag
-    still trips). The execution engine disables it around a request's
-    first query so an admitted request always makes progress — a
-    deadline can then only cut queries after the first. Default:
-    enabled. *)
+(** While [false], {!poll} ignores the deadline. The execution engine
+    disables it around a participant's first query so an admitted
+    request always makes progress — a deadline can then only cut
+    queries after the first. Default: enabled. *)
 
 val poll_stride : int
 (** {!poll} consults the clock every this many polls of an installed
@@ -58,6 +58,5 @@ val install : t -> (unit -> 'a) -> 'a
 
 val poll : unit -> unit
 (** The storage layer's check. No handle installed: one [Atomic.get].
-    Installed: raises {!Cancelled} if the flag is set, or — every
-    {!poll_stride} polls while the deadline is enabled — if the
-    deadline has passed. *)
+    Installed: every {!poll_stride} polls while the deadline is
+    enabled, raises {!Expired} if the deadline has passed. *)

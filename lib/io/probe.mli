@@ -11,10 +11,6 @@
 
 val span : Io_stats.t -> string -> (unit -> 'a) -> 'a
 
-val blocks_of : Io_stats.t -> unit -> int
-(** The sampling function [span] uses; exposed for call sites that
-    manage {!Segdb_obs.Trace.enter}/[exit] by hand. *)
-
 val counter : string -> Segdb_obs.Metrics.counter
 (** A handle in {!Segdb_obs.Metrics.default}; resolve once per module. *)
 

@@ -110,15 +110,13 @@ val ack : t -> peer:string -> int -> unit
 val acks : t -> (string * int) list
 (** Per-peer acknowledged LSNs, most recent ack per peer. *)
 
-val touch_progress : t -> unit
-(** Mark "replication showed a sign of life now". {!append}, {!ack} and
-    {!reset_to} touch it implicitly; the replica tail touches it on
-    every decoded upstream frame (including idle status probes), so on
-    a healthy replica it goes stale only when the upstream link does. *)
-
 val seconds_since_progress : t -> float
-(** Seconds since the last {!touch_progress} — the staleness signal
-    behind the health endpoint's replica-stall rule. *)
+(** Seconds since replication last showed a sign of life — the
+    staleness signal behind the health endpoint's replica-stall rule.
+    {!append}, {!ack} and {!reset_to} count as one, and so does every
+    upstream frame the replica tail decodes (including idle status
+    probes), so on a healthy replica it goes stale only when the
+    upstream link does. *)
 
 val status : t -> Wire.repl_status
 (** This node's standing, ready to serve a {!Wire.request.Repl_status}.

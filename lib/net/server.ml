@@ -349,7 +349,6 @@ let response_of_outcome t ~kind (o : Exec.outcome) =
          query (first-query immunity) or expires with completed = 0 *)
       Wire.Error (Wire.Deadline, "deadline exceeded")
   | Exec.Overloaded, _ -> Wire.Error (Wire.Overloaded, "request queue full")
-  | Exec.Cancelled _, _ -> Wire.Error (Wire.Server_error, "cancelled")
 
 (* Hand a query-bearing request to the pool. The completion callback
    runs on whichever worker domain served it (or right here, for an

@@ -7,10 +7,10 @@
     submits query-bearing requests to a {!Segdb_exec.Exec} pool — the
     same execution engine that answers the CLI's local batches.
     The server owns {e no} worker domains, request queue, or deadline
-    bookkeeping of its own: admission control, per-worker readers,
-    deadline propagation and cancellation all live in the engine; the
-    completion callback writes the response from whichever worker
-    domain served the request.
+    bookkeeping of its own: admission control, per-worker readers and
+    deadline propagation all live in the engine; the completion
+    callback writes the response from whichever worker domain served
+    the request.
 
     Backpressure is explicit: when the engine's queue is full the
     request is answered [Error Overloaded] immediately instead of
@@ -27,9 +27,8 @@
     Instrumentation (under {!Segdb_obs.Control.enabled}): [net.requests],
     [net.bytes_in], [net.bytes_out] counters and the [net.request.ns]
     histogram from this layer, plus the engine's [exec.queue_depth]
-    gauge, [exec.request.ns] histogram and [exec.deadline_exceeded] /
-    [exec.cancelled] counters — all served over the wire by the
-    [Stats] frame. *)
+    gauge, [exec.request.ns] histogram and [exec.deadline_exceeded]
+    counter — all served over the wire by the [Stats] frame. *)
 
 module Db := Segdb_core.Segdb
 module Exec := Segdb_exec.Exec

@@ -8,9 +8,8 @@
    [min]/[max], which makes single-distinct-value histograms exact.
 
    A histogram is owned by one domain at a time; cross-domain
-   aggregation goes through [merge_into] (each worker records into its
-   own and the owner folds them together), which is what
-   [Segdb_exec.Exec.run] does with per-worker latency recordings. *)
+   aggregation goes through [merge_into] (each domain records into its
+   own and the owner folds them together). *)
 
 let nbuckets = 64
 

@@ -22,9 +22,6 @@ val level : unit -> level option
 val would_log : level -> bool
 (** One [Atomic.get]: would an event at this level be emitted? *)
 
-val level_name : level -> string
-val level_of_string : string -> level option
-
 (** {1 Fields} *)
 
 type value = S of string | I of int | F of float | B of bool
@@ -67,10 +64,6 @@ val render : event -> string
 
 val set_stderr : bool -> unit
 (** Emit rendered lines to stderr (default [true]). *)
-
-val set_file : string option -> unit
-(** Append rendered lines to a file ([None], the default, closes any
-    open one). *)
 
 val set_ring : int -> unit
 (** Keep the last [n] events in memory ([0], the default, disables

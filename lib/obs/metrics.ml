@@ -3,9 +3,9 @@
    Counters and gauges are Atomic ints, safe to bump from any domain
    once the handle is in hand. Histograms are plain (single-owner)
    structures, so every access to a *registry-owned* histogram goes
-   through the registry mutex ([observe], [merge_histogram], and the
-   snapshot functions); workers that record at high rate keep a private
-   Histogram.t and fold it in with one [merge_histogram] at the end.
+   through the registry mutex ([observe], [merge_into], and the
+   snapshot functions); a domain that records at high rate can keep a
+   private registry and fold it in with one [merge_into] at the end.
 
    Handle lookup is get-or-create under the mutex; probe sites resolve
    their handles once at module initialization, so the steady-state

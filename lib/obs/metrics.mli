@@ -6,10 +6,9 @@
     behind {!Control.enabled} costs nothing measurable when off and a
     couple of atomic operations when on.
 
-    Registries are mergeable ({!merge_into}): parallel query workers
-    record into private registries or histograms and the coordinator
-    folds them into one view; merging is associative, so the fold order
-    does not matter. *)
+    Registries are mergeable ({!merge_into}): a domain may record into
+    a private registry and fold it into a shared one; merging is
+    associative, so the fold order does not matter. *)
 
 type t
 
@@ -34,10 +33,6 @@ val set_gauge : gauge -> int -> unit
 val observe : t -> string -> int -> unit
 (** Records one sample into the named histogram (created on first use).
     Thread-safe: serialized on the registry lock. *)
-
-val merge_histogram : t -> string -> Histogram.t -> unit
-(** Folds a privately-recorded histogram into the named one — the
-    cheap way for a worker to publish many samples at once. *)
 
 val histogram : t -> string -> Histogram.t option
 (** A copy of the named histogram, if it exists. *)

@@ -408,12 +408,7 @@ let rec collect_sub t (c : child) acc =
     Store.free t.store c.addr
   end
 
-let rebuild_count = ref 0
-let rebuild_mass = ref 0
-
 let rebuild_sub t (c : child) =
-  incr rebuild_count;
-  rebuild_mass := !rebuild_mass + c.csize;
   let acc = ref [] in
   collect_sub t c acc;
   let arr = Array.of_list !acc in

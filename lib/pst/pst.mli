@@ -120,14 +120,6 @@ val iter : t -> (Lseg.t -> unit) -> unit
 
 val to_list : t -> Lseg.t list
 
-val rebuild_count : int ref
-(** Global diagnostic: scapegoat subtree rebuilds across all PSTs since
-    process start (E7 uses it to relate amortized insertion cost to
-    rebuild mass). *)
-
-val rebuild_mass : int ref
-(** Total segments carried by those rebuilds. *)
-
 val check_invariants : t -> bool
 (** Heap order on [far_u], key order inside blocks and across children,
     router accuracy (subtree max depth, key range, size), block

@@ -25,7 +25,6 @@ let create ?(node_capacity = 64) ~pool ~stats () =
   { store; cap = node_capacity; root = Block_store.null; size = 0; height = 0 }
 
 let size t = t.size
-let height t = t.height
 let block_count t = Store.block_count t.store
 
 let node_bbox = function

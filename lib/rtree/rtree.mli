@@ -35,7 +35,6 @@ val delete : t -> Segment.t -> bool
     nodes are tolerated (Guttman's re-insertion pass is omitted). *)
 
 val size : t -> int
-val height : t -> int
 val block_count : t -> int
 
 val query : t -> Vquery.t -> f:(Segment.t -> unit) -> unit

@@ -465,8 +465,6 @@ let insert t (f : Segment.t) =
   if t.overlay_size + Hashtbl.length t.tombstones > max (2 * t.list_block) t.static_size then
     rebuild t
 
-let overlay_size t = t.overlay_size
-
 let delete t (f : Segment.t) =
   (* The caller (Solution 2) guarantees the fragment is stored. One
      still in the overlays is removed from them outright; one in the

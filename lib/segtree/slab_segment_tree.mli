@@ -92,9 +92,3 @@ val delete : t -> Segment.t -> bool
     answered again. Returns [false] if the id is already tombstoned and
     no overlay holds it. *)
 
-val overlay_size : t -> int
-(** Fragments currently in overlays (diagnostics). *)
-
-val iter_unique : t -> (Segment.t -> unit) -> unit
-(** Every live fragment once: tombstoned packed entries are skipped
-    (rebuild collection). *)

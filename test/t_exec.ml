@@ -1,8 +1,9 @@
 (* The execution engine: one persistent pool behind every entry point.
    Parity with the serial answers, deadline propagation (a queued
    request past its budget never executes; a slow batch is cut after
-   the immune first query), pool persistence across batches, admission
-   control, and cancellation stopping block fetches mid-flight. *)
+   the immune first query; an expired deadline stops block fetches
+   mid-flight), pool persistence across batches, admission control,
+   and storage faults degrading both ways in alike. *)
 
 open Segdb_io
 open Segdb_geom
@@ -151,54 +152,93 @@ module Store = Block_store.Make (struct
 end)
 
 (* The storage layer polls the installed handle on every block fetch:
-   flipping the flag mid-scan stops the reads where they are — the
-   counter plateaus instead of walking the remaining blocks. *)
+   under an expired deadline a scan stops within one poll stride
+   instead of walking the remaining blocks — unless the deadline is
+   disabled, as it is for a participant's immune first query. *)
 let test_cancel_stops_block_fetches () =
   let pool = Block_store.Pool.create ~capacity:2 in
   let io = Io_stats.create () in
   let s = Store.create ~pool ~stats:io () in
   let addrs = Array.init 100 (fun i -> Store.alloc s i) in
-  let flag = Atomic.make false in
-  let h = Cancel.create ~flag () in
-  let outcome =
+  let scan h =
     Cancel.install h (fun () ->
-        try
-          for i = 0 to Array.length addrs - 1 do
-            if i = 10 then Atomic.set flag true;
-            ignore (Store.read s addrs.(i))
-          done;
-          `Ran_to_completion
-        with Cancel.Cancelled Cancel.Explicit -> `Cancelled)
+        match Array.iter (fun a -> ignore (Store.read s a)) addrs with
+        | () -> `Ran_to_completion
+        | exception Cancel.Expired -> `Stopped)
   in
-  Alcotest.(check bool) "scan was cancelled" true (outcome = `Cancelled);
-  let reads = Io_stats.reads io in
+  let r0 = Io_stats.reads io in
+  Alcotest.(check bool) "scan was stopped" true
+    (scan (Cancel.create ~deadline_ns:1) = `Stopped);
+  let reads = Io_stats.reads io - r0 in
   Alcotest.(check bool)
-    (Printf.sprintf "reads plateaued at %d of %d" reads (Array.length addrs))
+    (Printf.sprintf "reads stopped at %d of %d" reads (Array.length addrs))
     true
-    (reads <= 11);
-  (* still tripped: the next fetch under the handle does not read either *)
-  (match Cancel.install h (fun () -> Store.read s addrs.(50)) with
-  | _ -> Alcotest.fail "read after cancel did not raise"
-  | exception Cancel.Cancelled Cancel.Explicit -> ());
-  Alcotest.(check int) "no further reads issued" reads (Io_stats.reads io)
+    (reads < Cancel.poll_stride);
+  let immune = Cancel.create ~deadline_ns:1 in
+  Cancel.set_deadline_enabled immune false;
+  Alcotest.(check bool) "with the deadline disabled the scan runs through" true
+    (scan immune = `Ran_to_completion)
 
-(* Cancelling a queued request completes it as [Cancelled] with no
-   work done, while the request ahead of it still answers. *)
+(* A queued request has no cancel button; its deadline is what cuts
+   it. One that runs out behind a slow blocker completes with no work
+   done, while the request ahead of it still answers. *)
 let test_cancel_queued_submit () =
   let db = Lazy.force slow_db in
   with_pool ~workers:1 (fun pool ->
       let blocker = Exec.submit pool db (Exec.request (line_queries 5)) in
-      let probe = Exec.submit pool db (Exec.request (line_queries 3)) in
-      Exec.cancel probe;
+      let probe = Exec.submit pool db (Exec.request ~deadline_ms:1 (line_queries 3)) in
       (match Exec.await probe with
-      | Exec.Cancelled { completed; _ } ->
-          Alcotest.(check int) "cancelled before any work" 0 completed
-      | o -> Alcotest.failf "expected Cancelled, got %s"
+      | Exec.Deadline_exceeded { completed; _ } ->
+          Alcotest.(check int) "cut before any work" 0 completed
+      | o -> Alcotest.failf "expected Deadline_exceeded, got %s"
                (Format.asprintf "%a" Exec.pp_outcome o));
       match Exec.await blocker with
       | Exec.Ok _ -> ()
       | o -> Alcotest.failf "blocker: expected Ok, got %s"
                (Format.asprintf "%a" Exec.pp_outcome o))
+
+(* ---------------- storage faults ---------------- *)
+
+(* A storage fault costs one query its answer, not the request: both
+   ways in report it through [Degraded] alike, with the other answers
+   intact; a dead device empties every answer. *)
+let test_storage_faults_degrade () =
+  let segs = W.roads (Rng.create 29) ~n:300 ~span:100.0 in
+  let db = Db.create ~backend:`Solution2 ~block:8 ~pool_blocks:16 segs in
+  let queries =
+    Array.init 4 (fun i -> Vquery.line ~x:(20.0 +. (20.0 *. float_of_int i)))
+  in
+  (* the serial oracle passes the same fault site: answer before arming *)
+  let serial = Array.map (Db.query_ids db) queries in
+  Alcotest.(check bool) "the faulted query has an answer to lose" true (serial.(1) <> []);
+  let arm plan = Failpoint.arm [ ("segdb.query", plan) ] in
+  let one_fault label = function
+    | Exec.Degraded (out, faults) ->
+        Alcotest.(check int) (label ^ ": one fault") 1 (List.length faults);
+        Array.iteri
+          (fun i got ->
+            Alcotest.(check (list int))
+              (Printf.sprintf "%s: query %d" label i)
+              (if i = 1 then [] else serial.(i))
+              got)
+          out
+    | o -> Alcotest.failf "%s: expected Degraded, got %s" label
+             (Format.asprintf "%a" Exec.pp_outcome o)
+  in
+  Fun.protect ~finally:Failpoint.disarm (fun () ->
+      with_pool ~workers:2 (fun pool ->
+          arm (Failpoint.plan ~at:2 Failpoint.Eio);
+          one_fault "run" (fst (Exec.run pool db (Exec.request queries) ~domains:1));
+          arm (Failpoint.plan ~at:2 Failpoint.Eio);
+          one_fault "submit" (Exec.await (Exec.submit pool db (Exec.request queries)));
+          arm (Failpoint.plan ~persistent:true Failpoint.Eio);
+          match Exec.run pool db (Exec.request queries) ~domains:2 with
+          | Exec.Degraded (out, faults), _ ->
+              Alcotest.(check int) "dead device: a fault per query" 4 (List.length faults);
+              Alcotest.(check bool) "dead device: every answer empty" true
+                (Array.for_all (fun l -> l = []) out)
+          | o, _ -> Alcotest.failf "dead device: expected Degraded, got %s"
+                      (Format.asprintf "%a" Exec.pp_outcome o)))
 
 (* ---------------- admission control ---------------- *)
 
@@ -208,8 +248,8 @@ let test_zero_depth_refuses_submit () =
   let queries = line_queries 4 in
   with_pool ~queue_depth:0 ~workers:1 (fun pool ->
       let tk = Exec.submit pool db (Exec.request queries) in
-      Alcotest.(check bool) "refused synchronously" true
-        (Exec.peek tk = Some Exec.Overloaded);
+      (* a refused ticket is complete on return: [await] does not block *)
+      Alcotest.(check bool) "refused synchronously" true (Exec.await tk = Exec.Overloaded);
       (* cooperative work bypasses admission: the same pool still runs *)
       match Exec.run pool db (Exec.request queries) ~domains:2 with
       | Exec.Ok out, _ ->
@@ -225,13 +265,7 @@ let test_run_validation () =
   with_pool ~workers:1 (fun pool ->
       Alcotest.check_raises "domains 0"
         (Invalid_argument "Exec.run: domains must be >= 1") (fun () ->
-          ignore (Exec.run pool db (Exec.request [||]) ~domains:0));
-      Alcotest.check_raises "readers arity"
-        (Invalid_argument "Exec.run: readers array must have one reader per domain")
-        (fun () ->
-          ignore
-            (Exec.run ~readers:[| Db.reader db |] pool db (Exec.request [||])
-               ~domains:2)))
+          ignore (Exec.run pool db (Exec.request [||]) ~domains:0)))
 
 let suite =
   ( "exec",
@@ -247,6 +281,8 @@ let suite =
       Alcotest.test_case "cancellation stops block fetches" `Quick
         test_cancel_stops_block_fetches;
       Alcotest.test_case "cancelling a queued request" `Quick test_cancel_queued_submit;
+      Alcotest.test_case "storage faults degrade run and submit alike" `Quick
+        test_storage_faults_degrade;
       Alcotest.test_case "zero-depth queue refuses submits, run bypasses" `Quick
         test_zero_depth_refuses_submit;
       Alcotest.test_case "run validation" `Quick test_run_validation;

@@ -569,9 +569,9 @@ let test_parallel_query_stats () =
   let rng = Rng.create 8 in
   let qs = Array.init 40 (fun _ -> Segdb_geom.Vquery.line ~x:(Rng.float rng 100.0)) in
   let expect = Array.map (fun q -> Db.query_ids db q) qs in
-  let run domains =
-    Exec.run (Exec.default ()) db (Exec.request ~degraded_ok:false qs) ~domains
-  in
+  let pool = Exec.create ~workers:2 () in
+  Fun.protect ~finally:(fun () -> Exec.shutdown pool) @@ fun () ->
+  let run domains = Exec.run pool db (Exec.request qs) ~domains in
   let outcome, stats = run 3 in
   Alcotest.(check bool) "answers match serial" true (outcome = Exec.Ok expect);
   Alcotest.(check int) "one row per worker" 3 (Array.length stats);
@@ -583,12 +583,13 @@ let test_parallel_query_stats () =
       Alcotest.(check bool) "counters non-negative" true
         (w.reads >= 0 && w.cache_hits >= 0 && w.cache_misses >= 0))
     stats;
-  (* with obs on, worker latencies land in the default registry *)
+  (* with obs on, every query's latency lands in its backend span's
+     histogram, whichever participant answered it *)
   with_tracing (fun () ->
       let _ = run 2 in
-      match Metrics.histogram Metrics.default "parallel.query.ns" with
+      match Metrics.histogram Metrics.default "span.query.solution2.ns" with
       | Some h -> Alcotest.(check int) "latency samples" (Array.length qs) (Histogram.count h)
-      | None -> Alcotest.fail "parallel.query.ns missing")
+      | None -> Alcotest.fail "span.query.solution2.ns missing")
 
 (* ---------------- tracing never changes answers ---------------- *)
 

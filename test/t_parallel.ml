@@ -105,8 +105,12 @@ let prop_queries_leave_no_trace =
 
 (* ---------------- Exec.run vs serial ---------------- *)
 
+(* each batch on a fresh three-worker pool, so every domain count
+   tested here can fan out for real *)
 let run_batch db qs ~domains =
-  match Exec.run (Exec.default ()) db (Exec.request ~degraded_ok:false qs) ~domains with
+  let pool = Exec.create ~workers:3 () in
+  Fun.protect ~finally:(fun () -> Exec.shutdown pool) @@ fun () ->
+  match Exec.run pool db (Exec.request qs) ~domains with
   | Exec.Ok out, _ -> out
   | o, _ -> Alcotest.failf "batch not answered: %a" Exec.pp_outcome o
 
