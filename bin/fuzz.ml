@@ -196,7 +196,9 @@ let run_parallel_round ~seed ~ops ~size ~domains round =
         let y = Rng.float rng 200.0 in
         Vquery.segment ~x ~ylo:y ~yhi:(y +. Rng.float rng 60.0)
   in
-  let pool = Exec.create ~workers:(domains - 1) () in
+  (* at least one worker even for [--domains 1]: the submit cross-check
+     needs a domain to pick its request up *)
+  let pool = Exec.create ~workers:(max 1 (domains - 1)) () in
   let cross_check label =
     let qs = Array.init (max 1 ops) (fun _ -> random_query ()) in
     List.iter

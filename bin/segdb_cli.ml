@@ -1105,16 +1105,18 @@ let insert_cmd =
   Cmd.v
     (Cmd.info "insert"
        ~doc:
-         "insert one segment through a running primary (WAL-logged, replicated to \
-          subscribers); a replica answers $(i,not primary)")
+         "insert one segment through a running primary; the server acknowledges the \
+          write from memory and replicates it to subscribers; a replica answers $(i,not \
+          primary)")
     Term.(const insert_server $ server_pos_t $ seg_id_t $ x1_t $ y1_t $ x2_t $ y2_t)
 
 let delete_cmd =
   Cmd.v
     (Cmd.info "delete"
        ~doc:
-         "delete one segment through a running primary (WAL-logged, replicated to \
-          subscribers); a replica answers $(i,not primary)")
+         "delete one segment through a running primary; the server acknowledges the \
+          write from memory and replicates it to subscribers; a replica answers $(i,not \
+          primary)")
     Term.(const delete_server $ server_pos_t $ seg_id_t $ x1_t $ y1_t $ x2_t $ y2_t)
 
 (* ---------------- slowlog ---------------- *)

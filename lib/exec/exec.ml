@@ -96,10 +96,12 @@ let worker_loop t () =
   loop ()
 
 let create ?(queue_depth = 128) ~workers () =
+  let size = max 0 workers in
   let t =
     {
-      size = max 1 workers;
-      queue_depth = max 0 queue_depth;
+      size;
+      (* with no worker to pick a submit up, admit none *)
+      queue_depth = (if size = 0 then 0 else max 0 queue_depth);
       jobs = Queue.create ();
       m = Mutex.create ();
       c = Condition.create ();
@@ -248,7 +250,7 @@ let run_batch pool ~reader ~contain_faults db req ~domains =
     end
   in
   let body () =
-    if pool.size > 1 && domains > 1 then begin
+    if domains > 1 then begin
       (* helpers run on pool domains whose DLS request id would
          otherwise be stale; the caller's participant runs under the
          id set below *)

@@ -95,11 +95,14 @@ type t
     Domains are spawned by {!create} and live until {!shutdown}. *)
 
 val create : ?queue_depth:int -> workers:int -> unit -> t
-(** [create ~workers ()] spawns [max 1 workers] domains, parked on the
+(** [create ~workers ()] spawns [max 0 workers] domains, parked on the
     job queue. [queue_depth] (default 128) bounds how many {!submit}ted
     requests may be admitted but not yet running; [0] refuses every
-    submit (useful in tests). Cooperative {!run} work bypasses
-    admission — a full queue can delay helpers, never the caller. *)
+    submit (useful in tests). A pool with no workers has depth [0]
+    whatever [queue_depth] says, since nothing would ever pick a submit
+    up; it still runs {!run} batches, on the caller alone. Cooperative
+    {!run} work bypasses admission — a full queue can delay helpers,
+    never the caller. *)
 
 val size : t -> int
 (** Worker-domain count (fixed at creation). *)
@@ -142,7 +145,7 @@ val run : t -> Db.t -> request -> domains:int -> outcome * worker_stats array
     may run concurrently.
 
     The [worker_stats] array has [domains] rows; rows for slots no
-    helper filled report zero queries. With a single-worker pool or
+    helper filled report zero queries. With a pool of no workers or
     [domains = 1] the batch runs entirely inline — no queueing, no
     helper handshake.
 

@@ -28,12 +28,7 @@ let run (p : Harness.params) =
   let table =
     Table.create ~title ~columns:[ "n"; "pst"; "itree"; "rtree"; "sol1"; "sol2"; "log2 n" ]
   in
-  (* rebuild storms make large insert-only runs expensive to *simulate*
-     (not only to run): cap the sweep below the query experiments' *)
-  let sweep =
-    if p.quick then [ 1 lsl 10; 1 lsl 11; 1 lsl 12 ]
-    else List.filter (fun n -> n <= 1 lsl 15) (Harness.sweep_n p)
-  in
+  let sweep = if p.quick then [ 1 lsl 10; 1 lsl 11; 1 lsl 12 ] else Harness.sweep_n p in
   List.iter
     (fun n ->
       let rng = Rng.create p.seed in

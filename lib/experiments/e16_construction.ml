@@ -1,52 +1,20 @@
-(* E16 — construction costs. The paper's structures are built over
-   sorted endpoint lists; the EM sorting bound O((n/B) log_{M/B} (n/B))
-   is the floor. We measure (a) the external merge sort itself against
-   its predicted pass structure, and (b) the I/O actually charged while
-   bulk-building each index (allocation write-back under the small
-   pool). *)
+(* E16 — construction costs: the I/O actually charged while bulk-building
+   each index (allocation write-back under the small pool). The paper's
+   structures are built over sorted endpoint lists, so the EM sorting
+   bound O((n/B) log_{M/B} (n/B)) is the floor these builds sit above. *)
 
 open Segdb_io
 open Segdb_util
 module W = Segdb_workload.Workload
 module Db = Segdb_core.Segdb
 
-module Fsort = Ext_sort.Make (struct
-  type t = float
-
-  let compare = Float.compare
-end)
-
 let id = "e16"
-let title = "E16: construction costs — external sort and index builds"
+let title = "E16: construction costs — index build I/O"
 let validates = "EM sorting bound as the build floor; builds are linear-ish in n/B"
 
 let run (p : Harness.params) =
-  let t1 =
-    Table.create ~title:(title ^ " — external merge sort (B = 16, M = 4 blocks)")
-      ~columns:[ "n"; "blocks"; "passes"; "io"; "io / 2*blocks" ]
-  in
   let sweep = if p.quick then [ 1 lsl 10; 1 lsl 12; 1 lsl 14 ] else Harness.sweep_n p in
-  List.iter
-    (fun n ->
-      let block = 16 and mem = 4 in
-      let pool = Block_store.Pool.create ~capacity:mem in
-      let io = Io_stats.create () in
-      let rng = Rng.create p.seed in
-      let arr = Array.init n (fun _ -> Rng.float rng 1e6) in
-      ignore (Fsort.sort ~pool ~stats:io ~block ~memory_blocks:mem arr);
-      let blocks = (n + block - 1) / block in
-      let passes = Fsort.passes ~block ~memory_blocks:mem n in
-      Table.add_row t1
-        [
-          Table.cell_int n;
-          Table.cell_int blocks;
-          Table.cell_int passes;
-          Table.cell_int (Io_stats.total_io io);
-          Table.cell_float ~decimals:2
-            (float_of_int (Io_stats.total_io io) /. float_of_int (2 * blocks));
-        ])
-    sweep;
-  let t2 =
+  let table =
     Table.create ~title:"E16b: index build I/O (charged during bulk construction)"
       ~columns:[ "n"; "n/B"; "naive"; "rtree"; "sol1"; "sol2" ]
   in
@@ -57,7 +25,7 @@ let run (p : Harness.params) =
         let db = Backends.build backend segs in
         Table.cell_int (Io_stats.total_io (Db.io db))
       in
-      Table.add_row t2
+      Table.add_row table
         [
           Table.cell_int n;
           Table.cell_int (n / Harness.block);
@@ -67,4 +35,4 @@ let run (p : Harness.params) =
           build_io "solution2";
         ])
     sweep;
-  [ Harness.Table t1; Harness.Table t2 ]
+  [ Harness.Table table ]

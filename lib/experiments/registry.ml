@@ -83,12 +83,6 @@ let all =
       run = E14_pool_size.run;
     };
     {
-      id = E15_internal_vs_external.id;
-      title = E15_internal_vs_external.title;
-      validates = E15_internal_vs_external.validates;
-      run = E15_internal_vs_external.run;
-    };
-    {
       id = E16_construction.id;
       title = E16_construction.title;
       validates = E16_construction.validates;

@@ -17,7 +17,7 @@ module Key = struct
       if c <> 0 then c else compare a.Segment.id b.Segment.id
 end
 
-module Status = Segdb_wbt.Wbt.Make (Key)
+module Status = Map.Make (Key)
 
 exception Found of Segment.t * Segment.t
 
@@ -112,8 +112,8 @@ let find_crossing ?verdict segs =
         | 0 ->
             status := Status.add s () !status;
             let l, _, r = Status.split s !status in
-            check_opt s (Status.max_binding l);
-            check_opt s (Status.min_binding r)
+            check_opt s (Status.max_binding_opt l);
+            check_opt s (Status.min_binding_opt r)
         | 1 ->
             (* vertical: candidates are the actives whose ordinate at
                [ex] falls within the vertical's closed extent *)
@@ -127,7 +127,7 @@ let find_crossing ?verdict segs =
             let l, present, r = Status.split s !status in
             if present = None then rescue s
             else begin
-              (match (Status.max_binding l, Status.min_binding r) with
+              (match (Status.max_binding_opt l, Status.min_binding_opt r) with
               | Some (a, ()), Some (b, ()) -> check a b
               | _ -> ());
               status := Status.remove s !status

@@ -7,8 +7,8 @@
     pairwise check of {!Predicates.nct_set} is not.
 
     Method: a left-to-right sweep keeps the active segments ordered by
-    their ordinate at the sweep abscissa in a weight-balanced tree; a
-    pair is *tested* when it becomes adjacent (on insertion or after a
+    their ordinate at the sweep abscissa in the Stdlib's balanced [Map];
+    a pair is *tested* when it becomes adjacent (on insertion or after a
     removal), and verticals are tested against the actives spanning
     their abscissa. Every test is decided by an exact verdict — the
     integer predicates when all coordinates are integral, a strict

@@ -70,6 +70,22 @@ let test_run_matches_serial () =
             [ 1; 2; 4 ])
         Db.all_backends)
 
+(* A one-worker pool lends its worker to [run]: asked for two
+   participants, the caller gets one helper, which joins while the
+   caller is still inside a slow naive query. *)
+let test_run_fans_out_onto_one_worker () =
+  let db = Lazy.force slow_db in
+  let queries = line_queries 10 in
+  with_pool ~workers:1 (fun pool ->
+      match Exec.run pool db (Exec.request queries) ~domains:2 with
+      | Exec.Ok _, stats ->
+          Alcotest.(check bool)
+            (Printf.sprintf "participant 1 answered %d queries" stats.(1).Exec.queries)
+            true
+            (stats.(1).Exec.queries >= 1)
+      | o, _ ->
+          Alcotest.failf "expected Ok, got %s" (Format.asprintf "%a" Exec.pp_outcome o))
+
 (* ---------------- deadline propagation ---------------- *)
 
 (* A request that expired while queued must answer [Deadline_exceeded]
@@ -242,23 +258,29 @@ let test_storage_faults_degrade () =
 
 (* ---------------- admission control ---------------- *)
 
+(* A pool with no workers has zero depth whatever it was asked for:
+   nothing would ever pick a submit up. *)
 let test_zero_depth_refuses_submit () =
   let segs = W.roads (Rng.create 23) ~n:100 ~span:100.0 in
   let db = Db.create ~backend:`Solution2 ~block:8 segs in
   let queries = line_queries 4 in
-  with_pool ~queue_depth:0 ~workers:1 (fun pool ->
-      let tk = Exec.submit pool db (Exec.request queries) in
-      (* a refused ticket is complete on return: [await] does not block *)
-      Alcotest.(check bool) "refused synchronously" true (Exec.await tk = Exec.Overloaded);
-      (* cooperative work bypasses admission: the same pool still runs *)
-      match Exec.run pool db (Exec.request queries) ~domains:2 with
-      | Exec.Ok out, _ ->
-          Array.iteri
-            (fun i got -> Alcotest.(check (list int))
-                (Printf.sprintf "query %d" i) (Db.query_ids db queries.(i)) got)
-            out
-      | o, _ -> Alcotest.failf "run on zero-depth pool: expected Ok, got %s"
-                  (Format.asprintf "%a" Exec.pp_outcome o))
+  List.iter
+    (fun (queue_depth, workers) ->
+      with_pool ?queue_depth ~workers (fun pool ->
+          Alcotest.(check int) "workers spawned" workers (Exec.size pool);
+          let tk = Exec.submit pool db (Exec.request queries) in
+          (* a refused ticket is complete on return: [await] does not block *)
+          Alcotest.(check bool) "refused synchronously" true (Exec.await tk = Exec.Overloaded);
+          (* cooperative work bypasses admission: the same pool still runs *)
+          match Exec.run pool db (Exec.request queries) ~domains:2 with
+          | Exec.Ok out, _ ->
+              Array.iteri
+                (fun i got -> Alcotest.(check (list int))
+                    (Printf.sprintf "query %d" i) (Db.query_ids db queries.(i)) got)
+                out
+          | o, _ -> Alcotest.failf "run on zero-depth pool: expected Ok, got %s"
+                      (Format.asprintf "%a" Exec.pp_outcome o)))
+    [ (Some 0, 1); (None, 0) ]
 
 let test_run_validation () =
   let db = Db.create ~backend:`Naive [||] in
@@ -272,6 +294,8 @@ let suite =
     [
       Alcotest.test_case "run matches serial on every backend" `Quick
         test_run_matches_serial;
+      Alcotest.test_case "run fans out onto a one-worker pool" `Quick
+        test_run_fans_out_onto_one_worker;
       Alcotest.test_case "expired in the queue: refused unexecuted" `Quick
         test_deadline_expired_in_queue;
       Alcotest.test_case "deadline cuts a slow batch after the first answer" `Quick

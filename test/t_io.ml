@@ -290,75 +290,6 @@ let suite =
       qtest prop_store_model;
     ] )
 
-(* ---------------- Ext_sort ---------------- *)
-
-module Xs = Ext_sort.Make (Int)
-
-let prop_extsort_correct =
-  QCheck.Test.make ~name:"external sort equals Array.sort" ~count:200
-    QCheck.(
-      triple
-        (list_of_size Gen.(0 -- 2000) (int_range 0 10_000))
-        (int_range 1 16) (int_range 3 8))
-    (fun (xs, block, mem) ->
-      let pool = Block_store.Pool.create ~capacity:mem in
-      let io = Io_stats.create () in
-      let arr = Array.of_list xs in
-      let sorted = Xs.sort ~pool ~stats:io ~block ~memory_blocks:mem arr in
-      let expected = Array.copy arr in
-      Array.sort compare expected;
-      sorted = expected)
-
-let prop_extsort_stable =
-  QCheck.Test.make ~name:"external sort is stable" ~count:100
-    QCheck.(list_of_size Gen.(0 -- 500) (int_range 0 20))
-    (fun keys ->
-      (* tag duplicates with their original index; compare keys only *)
-      let module P = Ext_sort.Make (struct
-        type t = int * int
-
-        let compare (a, _) (b, _) = compare a b
-      end) in
-      let pool = Block_store.Pool.create ~capacity:8 in
-      let io = Io_stats.create () in
-      let arr = Array.of_list (List.mapi (fun i k -> (k, i)) keys) in
-      let sorted = P.sort ~pool ~stats:io ~block:4 ~memory_blocks:3 arr in
-      let expected = Array.copy arr in
-      Array.stable_sort (fun (a, _) (b, _) -> compare a b) expected;
-      sorted = expected)
-
-let test_extsort_io_scaling () =
-  (* I/O ~ 2 * blocks * (passes + 1): the EM sorting bound's shape *)
-  let block = 16 and mem = 4 in
-  let costs =
-    List.map
-      (fun n ->
-        let pool = Block_store.Pool.create ~capacity:mem in
-        let io = Io_stats.create () in
-        let arr = Array.init n (fun i -> (i * 7919) mod 104729) in
-        ignore (Xs.sort ~pool ~stats:io ~block ~memory_blocks:mem arr);
-        let blocks = (n + block - 1) / block in
-        let passes = Xs.passes ~block ~memory_blocks:mem n in
-        (n, Io_stats.total_io io, blocks * (2 * (passes + 2))))
-      [ 1_000; 4_000; 16_000 ]
-  in
-  List.iter
-    (fun (n, io, budget) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "n=%d io=%d within budget %d" n io budget)
-        true (io <= budget))
-    costs
-
-let suite =
-  let name, cases = suite in
-  ( name,
-    cases
-    @ [
-        Alcotest.test_case "extsort io scaling" `Quick test_extsort_io_scaling;
-        qtest prop_extsort_correct;
-        qtest prop_extsort_stable;
-      ] )
-
 (* ---------------- Crc ---------------- *)
 
 let test_crc_vectors () =
