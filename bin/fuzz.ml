@@ -576,7 +576,9 @@ let run_net_round ~seed ~ops ~size round =
               (Format.asprintf "%a" Vquery.pp q)
       | 1 ->
           let q = random_query () in
-          let got = Net_client.count c q and expected = Db.count db q in
+          (* a count is the length of a query answer *)
+          let got = List.length (Net_client.query c q).Db.Degraded.value
+          and expected = Db.count db q in
           if got <> expected then
             fail "remote count %d vs %d on %s" got expected
               (Format.asprintf "%a" Vquery.pp q)
@@ -981,9 +983,17 @@ let replica_t =
            The promoted state must equal the model up to the in-flight operation, \
            validate clean, and fence stale-epoch frames.")
 
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "%S: expected an integer >= 1" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let domains_t =
   Arg.(
-    value & opt int 4
+    value & opt positive_int 4
     & info [ "domains" ] ~docv:"N"
         ~doc:
           "Domains answering each $(b,--parallel) batch: the caller plus N-1 pool workers.")

@@ -608,9 +608,17 @@ let batch_local file backend block pool domains deadline_ms qs verbose =
   dump_local_slowlog ();
   0
 
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "%S: expected an integer >= 1" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let domains_t =
   Arg.(
-    value & opt int 4
+    value & opt positive_int 4
     & info [ "domains" ] ~docv:"N" ~doc:"Worker domains answering the batch.")
 
 let batch_deadline_t =
@@ -1218,7 +1226,10 @@ let top connect metrics_addr interval_ms iterations no_clear =
   let source, fetch, cleanup =
     match (connect, metrics_addr) with
     | Some addrs, _ ->
-        let c = Client.connect_many addrs in
+        let c =
+          try Client.connect_many addrs
+          with Client.Error m -> prerr_endline m; exit 1
+        in
         ( Server.addr_to_string (Client.endpoint c),
           (fun () -> Client.stats c `Prometheus),
           fun () -> Client.close c )
@@ -1267,7 +1278,7 @@ let top connect metrics_addr interval_ms iterations no_clear =
         "bytes in/s"; fmt_opt f1 (rate "segdb_net_bytes_in"); "";
       ];
     Table.add_row t
-      [ "wal appends/s"; fmt_opt f1 (rate "segdb_wal_appends"); "" ];
+      [ "wal appends/s"; fmt_opt f1 (rate "segdb_wal_append"); "" ];
     Table.add_row t [ "p50 us"; fmt_opt (fun v -> f1 (v /. 1e3)) p50; "" ];
     Table.add_row t [ "p99 us"; fmt_opt (fun v -> f1 (v /. 1e3)) p99; spark h_p99 ];
     Table.add_row t [ "cache hit %"; fmt_opt f1 hit; spark h_hit ];

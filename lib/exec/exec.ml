@@ -10,14 +10,14 @@ module Obs = Segdb_obs
 type request = {
   rq_queries : Vquery.t array;
   rq_deadline_ns : int;
-      (* absolute on [Cancel.now_ns], 0 = none; clock starts at construction *)
+      (* absolute on [Trace.now_ns], 0 = none; clock starts at construction *)
   rq_trace : bool;
   rq_id : int; (* request id carried into trace spans; never 0 *)
 }
 
 let request ?(deadline_ms = 0) ?(trace = false) ?request_id queries =
   let deadline_ns =
-    if deadline_ms > 0 then Cancel.now_ns () + (deadline_ms * 1_000_000) else 0
+    if deadline_ms > 0 then Obs.Trace.now_ns () + (deadline_ms * 1_000_000) else 0
   in
   let rq_id =
     match request_id with
@@ -64,9 +64,6 @@ type t = {
   stopping : bool Atomic.t;
   mutable workers : unit Domain.t array;
   busy_ : int Atomic.t; (* workers currently inside a job — pool occupancy *)
-  (* metric handles, resolved once; shared names across pools sum up *)
-  g_depth : Obs.Metrics.gauge;
-  g_busy : Obs.Metrics.gauge;
   c_deadline : Obs.Metrics.counter;
 }
 
@@ -81,16 +78,9 @@ let worker_loop t () =
         (* stopping and drained *)
         Mutex.unlock t.m
     | Some job ->
-        if Obs.Control.enabled () then Obs.Metrics.set_gauge t.g_depth (Queue.length t.jobs);
         Mutex.unlock t.m;
         Atomic.incr t.busy_;
-        if Obs.Control.enabled () then
-          Obs.Metrics.set_gauge t.g_busy (Atomic.get t.busy_);
-        Fun.protect ~finally:(fun () ->
-            Atomic.decr t.busy_;
-            if Obs.Control.enabled () then
-              Obs.Metrics.set_gauge t.g_busy (Atomic.get t.busy_))
-          job;
+        Fun.protect ~finally:(fun () -> Atomic.decr t.busy_) job;
         loop ()
   in
   loop ()
@@ -109,8 +99,6 @@ let create ?(queue_depth = 128) ~workers () =
       stopping = Atomic.make false;
       workers = [||];
       busy_ = Atomic.make 0;
-      g_depth = Obs.Metrics.gauge Obs.Metrics.default "exec.queue_depth";
-      g_busy = Obs.Metrics.gauge Obs.Metrics.default "exec.pool_busy";
       c_deadline = Obs.Metrics.counter Obs.Metrics.default "exec.deadline_exceeded";
     }
   in
@@ -140,7 +128,6 @@ let shutdown t =
 let push_helper t job =
   Mutex.lock t.m;
   Queue.push job t.jobs;
-  if Obs.Control.enabled () then Obs.Metrics.set_gauge t.g_depth (Queue.length t.jobs);
   Condition.signal t.c;
   Mutex.unlock t.m
 
@@ -349,9 +336,6 @@ type ticket = {
 }
 
 let finish tk outcome =
-  if Obs.Control.enabled () then
-    Obs.Metrics.observe Obs.Metrics.default "exec.request.ns"
-      (Obs.Trace.now_ns () - tk.tk_submitted_ns);
   Mutex.lock tk.tk_m;
   tk.tk_outcome <- Some outcome;
   Condition.broadcast tk.tk_c;
@@ -368,24 +352,24 @@ let finish tk outcome =
 let dls_readers : (Obj.t * int * Db.reader) list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 
-let cached_reader ?cache_blocks db =
+let cached_reader db =
   let slot = Domain.DLS.get dls_readers in
   let key = Obj.repr db in
   let gen = Db.generation db in
   match List.find_opt (fun (k, g, _) -> k == key && g = gen) !slot with
   | Some (_, _, r) -> r
   | None ->
-      let r = Db.reader ?cache_blocks db in
+      let r = Db.reader db in
       slot := (key, gen, r) :: List.filter (fun (k, _, _) -> k != key) !slot;
       r
 
 (* Runs on the worker that picked the request up: [run_batch] with that
    worker as its one participant, through its cached reader. *)
-let serve pool tk ?cache_blocks db =
+let serve pool tk db =
   tk.tk_served_by <- (Domain.self () :> int);
   let req = tk.tk_req in
   let obs = Obs.Control.enabled () in
-  let pickup_ns = if obs || Obs.Slowlog.enabled () then Obs.Trace.now_ns () else 0 in
+  let pickup_ns = Obs.Trace.now_ns () in
   let queue_wait_ns = max 0 (pickup_ns - tk.tk_submitted_ns) in
   if obs then begin
     (* the queued interval: stamped at submit on the submitting domain,
@@ -403,7 +387,7 @@ let serve pool tk ?cache_blocks db =
         [||] )
     else
       run_batch pool
-        ~reader:(fun () -> cached_reader ?cache_blocks db)
+        ~reader:(fun () -> cached_reader db)
         ~contain_faults:true db req ~domains:1
   in
   if obs then
@@ -412,7 +396,7 @@ let serve pool tk ?cache_blocks db =
   note_outcome pool req ~t0_ns:tk.tk_submitted_ns ~queue_wait_ns stats outcome;
   finish tk outcome
 
-let submit ?cache_blocks ?on_complete pool db req =
+let submit ?on_complete pool db req =
   let tk =
     {
       tk_req = req;
@@ -435,10 +419,8 @@ let submit ?cache_blocks ?on_complete pool db req =
         Mutex.lock pool.m;
         pool.pending <- pool.pending - 1;
         Mutex.unlock pool.m;
-        serve pool tk ?cache_blocks db)
+        serve pool tk db)
       pool.jobs;
-    if Obs.Control.enabled () then
-      Obs.Metrics.set_gauge pool.g_depth (Queue.length pool.jobs);
     Condition.signal pool.c
   end;
   Mutex.unlock pool.m;

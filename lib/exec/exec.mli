@@ -25,11 +25,12 @@ module Db = Segdb_core.Segdb
       a callback on that worker's domain.
 
     Pool metrics land in [Segdb_obs.Metrics.default] when observability
-    is on: [exec.queue_depth] (gauge), [exec.request.ns] (histogram
-    over submitted requests, decomposed into [exec.queue_wait.ns] —
-    submit to worker pickup — and [exec.service.ns] — pickup to
-    completion) and [exec.deadline_exceeded] (counter, over both ways
-    in). Every executed request feeds the slow-query log
+    is on: the histograms [exec.queue_wait.ns] (submit to worker pickup)
+    and [exec.service.ns] (pickup to completion) over submitted
+    requests, and the [exec.deadline_exceeded] counter over both ways
+    in. The engine sets no gauge: a server publishes {!busy}, {!size}
+    and {!queued} when it renders its metrics. Every executed request
+    feeds the slow-query log
     ([Segdb_obs.Slowlog]) when its threshold is armed, and admission
     refusals and deadline cuts emit [Segdb_obs.Log] events under the
     ["exec"] component. *)
@@ -44,7 +45,7 @@ val request :
   ?deadline_ms:int -> ?trace:bool -> ?request_id:int -> Vquery.t array -> request
 (** [request qs] describes executing the batch [qs].
 
-    - [deadline_ms]: budget from {e now} on [Segdb_io.Cancel.now_ns]'s
+    - [deadline_ms]: budget from {e now} on [Segdb_obs.Trace.now_ns]'s
       monotonic clock (the clock starts at construction, so queue time
       counts against it — a request built at admission and served late
       can expire before its first query). [0] or absent means no
@@ -109,8 +110,7 @@ val size : t -> int
 
 val busy : t -> int
 (** Workers currently inside a job — the pool's instantaneous
-    occupancy. One atomic load; also published as the
-    ["exec.pool_busy"] gauge when observability is on. *)
+    occupancy. One atomic load. *)
 
 val queued : t -> int
 (** Jobs sitting in the queue, not yet picked up (takes the pool lock
@@ -157,8 +157,7 @@ val run : t -> Db.t -> request -> domains:int -> outcome * worker_stats array
 type ticket
 (** A handle on one admitted (or refused) request. *)
 
-val submit :
-  ?cache_blocks:int -> ?on_complete:(outcome -> unit) -> t -> Db.t -> request -> ticket
+val submit : ?on_complete:(outcome -> unit) -> t -> Db.t -> request -> ticket
 (** Queues the request for a worker domain, or refuses it when
     [queue_depth] requests are already waiting (the ticket is then
     already complete with {!Overloaded}). The worker that picks it up
@@ -173,9 +172,9 @@ val submit :
     submitting domain for an admission refusal), after the outcome is
     recorded — a server's chance to write the response without a
     coordination hop. Workers keep one cached reader per database they
-    have served (keyed by physical identity, sized by [cache_blocks]
-    at first use), so a request stream against one database keeps its
-    LRU shard warm across requests. *)
+    have served (keyed by physical identity, its shard the size of the
+    database's pool), so a request stream against one database keeps
+    its LRU shard warm across requests. *)
 
 val await : ticket -> outcome
 (** Blocks until the outcome is recorded; returns immediately on an

@@ -1,7 +1,7 @@
 (* E16 — construction costs: the I/O actually charged while bulk-building
-   each index (allocation write-back under the small pool). The paper's
-   structures are built over sorted endpoint lists, so the EM sorting
-   bound O((n/B) log_{M/B} (n/B)) is the floor these builds sit above. *)
+   each index (allocation write-back under the small pool), against n/B.
+   No table here measures the sort of the endpoint lists the builds
+   start from. *)
 
 open Segdb_io
 open Segdb_util
@@ -10,7 +10,7 @@ module Db = Segdb_core.Segdb
 
 let id = "e16"
 let title = "E16: construction costs — index build I/O"
-let validates = "EM sorting bound as the build floor; builds are linear-ish in n/B"
+let validates = "bulk-build I/O of every backend grows linear-ish in n/B"
 
 let run (p : Harness.params) =
   let sweep = if p.quick then [ 1 lsl 10; 1 lsl 12; 1 lsl 14 ] else Harness.sweep_n p in

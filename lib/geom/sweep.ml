@@ -54,7 +54,7 @@ let float_crosses (a : Segment.t) (b : Segment.t) =
   end
   else d1 * d2 < 0 && d3 * d4 < 0
 
-let default_verdict segs =
+let verdict_for segs =
   if all_integral segs then fun a b ->
     Predicates.crosses (Predicates.of_segment a) (Predicates.of_segment b)
   else float_crosses
@@ -63,8 +63,8 @@ type event = { ex : float; kind : int; seg : Segment.t }
 (* kind: 0 = insert, 1 = vertical, 2 = remove — processed in this order
    at equal abscissas so verticals see everything active at their x *)
 
-let find_crossing ?verdict segs =
-  let verdict = match verdict with Some v -> v | None -> default_verdict segs in
+let find_crossing segs =
+  let verdict = verdict_for segs in
   let events = ref [] in
   Array.iter
     (fun (s : Segment.t) ->

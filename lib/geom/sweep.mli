@@ -19,13 +19,9 @@
     float-ordering degenerates exactly at a crossing can, in principle,
     escape the float verdict; integer inputs are decided exactly. *)
 
-val find_crossing :
-  ?verdict:(Segment.t -> Segment.t -> bool) ->
-  Segment.t array ->
-  (Segment.t * Segment.t) option
-(** [verdict] decides whether a candidate pair truly crosses; the
-    default uses {!Predicates.crosses} when every coordinate is
-    integral, else a strict float test. *)
+val find_crossing : Segment.t array -> (Segment.t * Segment.t) option
+(** A candidate pair is decided by {!Predicates.crosses} when every
+    coordinate is integral, else by a strict float test. *)
 
 val verify_nct : Segment.t array -> bool
 (** [find_crossing segs = None]. *)

@@ -1,17 +1,15 @@
 exception Expired
 
 type t = {
-  deadline_ns : int; (* absolute on [now_ns], 0 = none *)
+  deadline_ns : int; (* absolute on [Trace.now_ns], 0 = none *)
   mutable deadline_on : bool;
   mutable polls : int; (* domain-local by construction: handles are per-worker *)
 }
 
-let now_ns () = Int64.to_int (Monotonic_clock.now ())
-
 let create ~deadline_ns =
   { deadline_ns = max 0 deadline_ns; deadline_on = true; polls = 0 }
 
-let expired deadline_ns = deadline_ns > 0 && now_ns () > deadline_ns
+let expired deadline_ns = deadline_ns > 0 && Segdb_obs.Trace.now_ns () > deadline_ns
 
 let set_deadline_enabled t on = t.deadline_on <- on
 

@@ -6,11 +6,9 @@
     granularity ({!Block_store.Make.read}), so an expired request stops
     issuing I/O instead of running to completion.
 
-    Deadlines live on {!now_ns}, a monotonic clock: a step of the wall
-    clock moves no in-flight deadline. (Spans, histograms and slow-log
-    stamps stay on [Segdb_obs.Trace.now_ns], the wall clock, because
-    client and server spans are stitched across processes by wall
-    time.)
+    Deadlines live on [Segdb_obs.Trace.now_ns], the clock that also
+    stamps spans, histograms and slow-log records. It is monotonic, so
+    a step of the wall clock moves no in-flight deadline.
 
     Cost discipline mirrors {!Failpoint} and {!Segdb_obs.Control}: with
     no handle installed anywhere in the process, {!poll} is a single
@@ -26,15 +24,11 @@ exception Expired
     shared state, so unwinding mid-traversal is safe; the execution
     engine catches this at the per-query boundary. *)
 
-val now_ns : unit -> int
-(** The deadline clock: [CLOCK_MONOTONIC] in nanoseconds, from an
-    arbitrary origin. Only differences and comparisons mean anything. *)
-
 type t
 
 val create : deadline_ns:int -> t
-(** [deadline_ns] is an {e absolute} {!now_ns} instant; [0] means
-    none. *)
+(** [deadline_ns] is an {e absolute} [Segdb_obs.Trace.now_ns]
+    instant; [0] means none. *)
 
 val expired : int -> bool
 (** [expired deadline_ns]: whether that absolute deadline ([0] = none)

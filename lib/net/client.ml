@@ -29,7 +29,6 @@ let count_retry () =
   end
 
 let endpoint t = t.addrs.(t.cur)
-let endpoints t = Array.to_list t.addrs
 
 (* Deterministic jitter in [0.5, 1.0): clients seeded differently
    desynchronize (no retry storm against a restarted primary), while a
@@ -219,7 +218,6 @@ let unexpected what resp =
     | Wire.Error (code, msg) -> Wire.error_code_to_string code ^ ": " ^ msg
     | Wire.Pong -> "pong"
     | Wire.Ids _ -> "ids"
-    | Wire.Counted _ -> "count"
     | Wire.Batch_ids _ -> "batch ids"
     | Wire.Stats_payload _ -> "stats"
     | Wire.Shutdown_ack -> "shutdown ack"
@@ -240,9 +238,6 @@ let query t q =
   | Wire.Ids { ids; complete; faults } ->
       { Db.Degraded.value = ids; complete; faults }
   | r -> unexpected "ids" r
-
-let count t q =
-  match rpc t (Wire.Count q) with Wire.Counted n -> n | r -> unexpected "count" r
 
 let batch t qs =
   match rpc t (Wire.Batch qs) with

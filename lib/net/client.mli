@@ -63,8 +63,6 @@ val connect_many :
 val endpoint : t -> Server.addr
 (** The endpoint the next request will go to. *)
 
-val endpoints : t -> Server.addr list
-
 val backoff_delay_s : seed:int -> backoff_ms:int -> attempt:int -> float
 (** The exact sleep before replay [attempt] (0-based):
     [backoff_ms * 2^min(attempt,10)] milliseconds scaled by a jitter
@@ -80,8 +78,6 @@ val ping : t -> unit
 
 val query : t -> Vquery.t -> int list Db.Degraded.t
 (** Sorted ids; completeness/faults as reported by the server. *)
-
-val count : t -> Vquery.t -> int
 
 val batch : t -> Vquery.t array -> int list array Db.Degraded.t
 (** Element [i] is exactly what in-process [Segdb.query_ids] on query

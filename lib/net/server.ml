@@ -73,7 +73,6 @@ type t = {
   lfd : Unix.file_descr;
   bound : addr;
   deadline_ms : int;  (** 0 disables *)
-  cache_blocks : int option;
   idle_timeout_s : float;  (** 0 disables *)
   health_stall_s : float;  (** replica staleness before /healthz turns 503 *)
   pool : Exec.t;
@@ -110,8 +109,8 @@ let connector addr () =
      raise e);
   fd
 
-let create ?(domains = 2) ?(queue_depth = 128) ?(deadline_ms = 5000) ?cache_blocks
-    ?(idle_timeout_s = 0.) ?(health_stall_s = 3.0) ?epoch ?replica_of ~db addr =
+let create ?(domains = 2) ?(queue_depth = 128) ?(deadline_ms = 5000) ?(idle_timeout_s = 0.)
+    ?(health_stall_s = 3.0) ?epoch ?replica_of ~db addr =
   let sa = sockaddr_of addr in
   (match addr with
   | Unix_path p when Sys.file_exists p && (Unix.stat p).Unix.st_kind = Unix.S_SOCK ->
@@ -146,7 +145,6 @@ let create ?(domains = 2) ?(queue_depth = 128) ?(deadline_ms = 5000) ?cache_bloc
       lfd;
       bound;
       deadline_ms = max 0 deadline_ms;
-      cache_blocks;
       idle_timeout_s = Float.max 0. idle_timeout_s;
       health_stall_s = Float.max 0.001 health_stall_s;
       pool = Exec.create ~queue_depth:(max 0 queue_depth) ~workers:(max 1 domains) ();
@@ -172,31 +170,9 @@ let create ?(domains = 2) ?(queue_depth = 128) ?(deadline_ms = 5000) ?cache_bloc
       t.tail <-
         Some
           (Replication.start_tail ~connect:(connector upstream) ~gate ~db ~stream:repl ()));
-  (* every scrape ([Metrics.refresh_gauges]) pulls this node's
-     serving/replication standing into the registry; every value read
-     here is atomic- or mutex-protected, so the source is safe to run
-     from any domain *)
-  Metrics.register_source
-    ("server@" ^ addr_to_string bound)
-    (fun () ->
-      let acks = Replication.acks t.repl in
-      let lsn = Replication.lsn t.repl in
-      [
-        ("net.connections", Atomic.get t.live_conns);
-        ("exec.pool_busy", Exec.busy t.pool);
-        ("exec.pool_workers", Exec.size t.pool);
-        ("exec.queue_len", Exec.queued t.pool);
-        ("repl.epoch", Replication.epoch t.repl);
-        ("repl.last_lsn", lsn);
-        ("repl.is_primary", if Replication.role t.repl = Replication.Primary then 1 else 0);
-        ( "repl.ms_since_progress",
-          int_of_float (Replication.seconds_since_progress t.repl *. 1e3) );
-      ]
-      @ List.map (fun (peer, acked) -> ("repl.lag_records." ^ peer, max 0 (lsn - acked))) acks);
   t
 
 let bound_addr t = t.bound
-let metrics_addr t = t.metrics_bound_
 let pool t = t.pool
 let replication t = t.repl
 let stop t = Atomic.set t.stopping true
@@ -228,10 +204,36 @@ let respond t conn resp =
 
 let obs_off_note = "observability disabled (set SEGDB_OBS=1 or serve without --no-obs)"
 
+(* Two servers in one process share [Metrics.default]; publishing and
+   rendering under one lock keeps a scrape from rendering the other
+   node's gauges. *)
+let scrape_mu = Mutex.create ()
+
+(* This node's serving and replication standing, published by the node
+   that answers the scrape. *)
+let publish_gauges t =
+  let set name v = Metrics.set_gauge (Metrics.gauge Metrics.default name) v in
+  let lsn = Replication.lsn t.repl in
+  set "net.connections" (Atomic.get t.live_conns);
+  set "exec.pool_busy" (Exec.busy t.pool);
+  set "exec.pool_workers" (Exec.size t.pool);
+  set "exec.queue_len" (Exec.queued t.pool);
+  set "repl.epoch" (Replication.epoch t.repl);
+  set "repl.last_lsn" lsn;
+  set "repl.is_primary" (if Replication.role t.repl = Replication.Primary then 1 else 0);
+  set "repl.ms_since_progress"
+    (int_of_float (Replication.seconds_since_progress t.repl *. 1e3));
+  List.iter
+    (fun (peer, acked) -> set ("repl.lag_records." ^ peer) (max 0 (lsn - acked)))
+    (Replication.acks t.repl)
+
 let stats_payload t fmt =
   let reg = Metrics.default in
-  (* pull gauge sources (runtime, serving, replication) to now *)
-  if Control.enabled () then Metrics.refresh_gauges ();
+  Mutex.protect scrape_mu @@ fun () ->
+  if Control.enabled () then begin
+    Metrics.refresh_gauges ();
+    publish_gauges t
+  end;
   match fmt with
   | `Text ->
       if Control.enabled () then Export.text reg
@@ -321,13 +323,9 @@ let serve_metrics t addr =
 let response_of_outcome t ~kind (o : Exec.outcome) =
   match (o, kind) with
   | Exec.Ok out, `Query -> Wire.Ids { ids = out.(0); complete = true; faults = [] }
-  | Exec.Ok out, `Count -> Wire.Counted (List.length out.(0))
   | Exec.Ok out, `Batch -> Wire.Batch_ids { results = out; complete = true; faults = [] }
   | Exec.Degraded (out, faults), `Query ->
       Wire.Ids { ids = out.(0); complete = false; faults }
-  | Exec.Degraded (_, faults), `Count ->
-      (* a count has no partial-answer channel: surface the fault *)
-      Wire.Error (Wire.Server_error, String.concat "; " faults)
   | Exec.Degraded (out, faults), `Batch ->
       Wire.Batch_ids { results = out; complete = false; faults }
   | Exec.Deadline_exceeded { completed = 0; _ }, _ ->
@@ -344,7 +342,7 @@ let response_of_outcome t ~kind (o : Exec.outcome) =
                 (Array.length partial);
             ];
         }
-  | Exec.Deadline_exceeded _, (`Query | `Count) ->
+  | Exec.Deadline_exceeded _, `Query ->
       (* unreachable: a single-query request either completes its one
          query (first-query immunity) or expires with completed = 0 *)
       Wire.Error (Wire.Deadline, "deadline exceeded")
@@ -365,7 +363,6 @@ let submit_query t conn req =
   let qs, kind, rid, trace =
     match req with
     | Wire.Query q -> ([| q |], `Query, 0, false)
-    | Wire.Count q -> ([| q |], `Count, 0, false)
     | Wire.Batch qs -> (qs, `Batch, 0, false)
     | Wire.Batch_ex { request_id; trace; queries } -> (queries, `Batch, request_id, trace)
     | _ -> assert false
@@ -393,7 +390,7 @@ let submit_query t conn req =
     Replication.Gate.exit_read t.gate;
     Atomic.decr conn.pending
   in
-  ignore (Exec.submit ?cache_blocks:t.cache_blocks ~on_complete t.pool t.db ereq)
+  ignore (Exec.submit ~on_complete t.pool t.db ereq)
 
 (* ---------------- replication handlers ---------------- *)
 
@@ -562,7 +559,7 @@ let dispatch t conn req =
   | Wire.Repl_ack { epoch; lsn } -> handle_ack t conn ~epoch ~lsn
   | Wire.Repl_status -> respond t conn (Wire.Repl_status_payload (repl_status_enriched t))
   | Wire.Promote { epoch } -> handle_promote t conn ~epoch
-  | Wire.Query _ | Wire.Count _ | Wire.Batch _ | Wire.Batch_ex _ ->
+  | Wire.Query _ | Wire.Batch _ | Wire.Batch_ex _ ->
       if Atomic.get t.stopping then respond t conn (Wire.Error (Wire.Shutting_down, "draining"))
       else submit_query t conn req
 
@@ -717,7 +714,6 @@ let run t =
   done;
   (match t.tail with Some tl -> Replication.stop_tail tl | None -> ());
   (try Unix.close t.lfd with Unix.Unix_error (_, _, _) -> ());
-  Metrics.unregister_source ("server@" ^ addr_to_string t.bound);
   (match t.http with
   | Some h ->
       Http.close h;

@@ -25,10 +25,14 @@
     is closed and {!run} returns.
 
     Instrumentation (under {!Segdb_obs.Control.enabled}): [net.requests],
-    [net.bytes_in], [net.bytes_out] counters and the [net.request.ns]
-    histogram from this layer, plus the engine's [exec.queue_depth]
-    gauge, [exec.request.ns] histogram and [exec.deadline_exceeded]
-    counter — all served over the wire by the [Stats] frame. *)
+    [net.bytes_in], [net.bytes_out] counters and the [net.request.ns],
+    [net.decode.ns] and [net.write.ns] histograms from this layer, plus
+    the engine's [exec.queue_wait.ns] and [exec.service.ns] histograms
+    and [exec.deadline_exceeded] counter. The [Stats] frame and
+    [GET /metrics] render the registry with this node's gauges
+    published at that moment: [net.connections], [exec.pool_busy],
+    [exec.pool_workers], [exec.queue_len] and the [repl.*] standing, so
+    a scrape describes the node that answers it. *)
 
 module Db := Segdb_core.Segdb
 module Exec := Segdb_exec.Exec
@@ -52,7 +56,6 @@ val create :
   ?domains:int ->
   ?queue_depth:int ->
   ?deadline_ms:int ->
-  ?cache_blocks:int ->
   ?idle_timeout_s:float ->
   ?health_stall_s:float ->
   ?epoch:int ->
@@ -65,8 +68,8 @@ val create :
     [domains] worker domains (default 2, min 1), [queue_depth] bounds
     admission (default 128; 0 refuses all queued work — useful to test
     backpressure), [deadline_ms] is the per-request budget from
-    submission (default 5000; 0 disables), [cache_blocks] sizes each
-    worker's cached reader shard. Raises [Unix.Unix_error] if the
+    submission (default 5000; 0 disables). Each worker's cached reader
+    shard is the size of [db]'s pool. Raises [Unix.Unix_error] if the
     address cannot be bound.
 
     [idle_timeout_s] (default 0 = never) reaps connections with no
@@ -96,7 +99,7 @@ val bound_addr : t -> addr
 val serve_metrics : t -> addr -> addr
 (** Bind the monitoring exporter ({!Http}) on [addr] and serve it from
     the accept loop: [GET /metrics] (Prometheus exposition, gauges
-    refreshed at scrape time), [GET /healthz] (role / epoch / LSN /
+    published at scrape time), [GET /healthz] (role / epoch / LSN /
     progress / queue and pool occupancy / per-peer lag as JSON; 200
     healthy, 503 stopping or stalled replica). Returns the bound
     address (kernel-chosen port for TCP port 0). Call before
@@ -104,9 +107,6 @@ val serve_metrics : t -> addr -> addr
     bound. The endpoints answer even with observability off
     ([/metrics] then leads with a "disabled" comment) — health must not
     depend on metrics being on. *)
-
-val metrics_addr : t -> addr option
-(** The exporter's bound address, when {!serve_metrics} was called. *)
 
 val pool : t -> Exec.t
 (** The server's execution pool (for size / introspection). *)

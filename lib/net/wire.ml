@@ -8,7 +8,6 @@ module Seg_file = Segdb_core.Seg_file
 type request =
   | Ping
   | Query of Vquery.t
-  | Count of Vquery.t
   | Batch of Vquery.t array
   | Stats of [ `Text | `Json | `Prometheus ]
   | Shutdown
@@ -45,7 +44,6 @@ type repl_status = {
 type response =
   | Pong
   | Ids of { ids : int list; complete : bool; faults : string list }
-  | Counted of int
   | Batch_ids of { results : int list array; complete : bool; faults : string list }
   | Stats_payload of string
   | Error of error_code * string
@@ -217,9 +215,6 @@ let request_payload req =
   | Query q ->
       Codec.W.u8 b 2;
       write_vquery b q
-  | Count q ->
-      Codec.W.u8 b 3;
-      write_vquery b q
   | Batch qs ->
       Codec.W.u8 b 4;
       vqueries_codec.Codec.write b qs
@@ -267,9 +262,6 @@ let response_payload resp =
       Codec.bool.Codec.write b complete;
       faults_codec.Codec.write b faults;
       ids_codec.Codec.write b ids
-  | Counted n ->
-      Codec.W.u8 b 130;
-      Codec.W.u64 b n
   | Batch_ids { results; complete; faults } ->
       Codec.W.u8 b 131;
       Codec.bool.Codec.write b complete;
@@ -335,7 +327,6 @@ let decode_request payload =
       match tag with
       | 1 -> Some Ping
       | 2 -> Some (Query (read_vquery r))
-      | 3 -> Some (Count (read_vquery r))
       | 4 -> Some (Batch (vqueries_codec.Codec.read r))
       | 5 -> Some (Stats (fmt_of_tag (Codec.R.u8 r)))
       | 6 -> Some Shutdown
@@ -369,7 +360,6 @@ let decode_response payload =
           let faults = faults_codec.Codec.read r in
           let ids = ids_codec.Codec.read r in
           Some (Ids { ids; complete; faults })
-      | 130 -> Some (Counted (Codec.R.u64 r))
       | 131 ->
           let complete = Codec.bool.Codec.read r in
           let faults = faults_codec.Codec.read r in

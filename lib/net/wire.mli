@@ -32,7 +32,6 @@ open Segdb_geom
 type request =
   | Ping
   | Query of Vquery.t
-  | Count of Vquery.t
   | Batch of Vquery.t array
   | Stats of [ `Text | `Json | `Prometheus ]
   | Shutdown
@@ -132,7 +131,6 @@ type response =
   | Pong
   | Ids of { ids : int list; complete : bool; faults : string list }
       (** sorted ids; [complete]/[faults] mirror {!Segdb_core.Segdb.Degraded} *)
-  | Counted of int
   | Batch_ids of { results : int list array; complete : bool; faults : string list }
       (** element [i] is exactly [Segdb.query_ids db qs.(i)], sorted *)
   | Stats_payload of string

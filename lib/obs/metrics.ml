@@ -87,20 +87,11 @@ let merge_into ~into src =
   List.iter (fun (name, v) -> if v <> 0 then add (gauge into name) v) gs;
   List.iter (fun (name, h) -> merge_histogram into name h) hs
 
-(* ---------------- gauge sources ---------------- *)
-
-(* guarded by [default]'s lock, which is released before any source runs *)
-let sources : (string * (unit -> (string * int) list)) list ref = ref []
-
-let register_source name f =
-  locked default (fun () -> sources := (name, f) :: List.remove_assoc name !sources)
-
-let unregister_source name =
-  locked default (fun () -> sources := List.remove_assoc name !sources)
+(* ---------------- runtime gauges ---------------- *)
 
 let publish name v = set_gauge (gauge default name) v
 
-let runtime_gauges () =
+let refresh_gauges () =
   let st = Gc.quick_stat () in
   publish "runtime.heap_words" st.Gc.heap_words;
   publish "runtime.minor_collections" st.Gc.minor_collections;
@@ -109,12 +100,3 @@ let runtime_gauges () =
   match Sys.readdir "/proc/self/fd" with
   | entries -> publish "runtime.open_fds" (Array.length entries)
   | exception Sys_error _ -> ()
-
-let refresh_gauges () =
-  runtime_gauges ();
-  List.iter
-    (fun (_, f) ->
-      match f () with
-      | gauges -> List.iter (fun (n, v) -> publish n v) gauges
-      | exception _ -> () (* a broken source must not fail the scrape *))
-    (locked default (fun () -> !sources))

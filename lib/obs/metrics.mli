@@ -50,28 +50,18 @@ val merge_into : into:t -> t -> unit
 val reset : t -> unit
 (** Zeroes every metric, keeping handles valid. *)
 
-(** {1 Gauge sources}
+(** {1 Runtime gauges}
 
-    Some gauges describe state that lives above this library: pool
-    occupancy, connection counts, replication standing. A higher layer
-    {!register_source}s a closure instead of pushing values, and every
-    reader that wants live gauges (a [/metrics] scrape, a wire [stats]
-    frame) calls {!refresh_gauges} right before rendering. Rates and
-    windowed percentiles are not kept here: whoever reads two scrapes
-    derives them from the counters and histogram buckets. *)
-
-val register_source : string -> (unit -> (string * int) list) -> unit
-(** [register_source name f] adds a gauge provider: on every
-    {!refresh_gauges}, [f ()] runs and each [(gauge_name, value)] pair
-    is published into {!default}. Re-registering a name replaces the
-    previous source. [f] runs on whichever domain calls
-    {!refresh_gauges} and must be thread-safe; an exception from [f]
-    skips that source for the pass. *)
-
-val unregister_source : string -> unit
+    Gauges are published by the layer that owns the state they
+    describe, right before a reader renders the registry: the server
+    sets its pool, connection and replication gauges when it answers a
+    [/metrics] scrape or a wire [stats] frame, after calling
+    {!refresh_gauges} for the process-wide ones. Rates and windowed
+    percentiles are not kept here: whoever reads two scrapes derives
+    them from the counters and histogram buckets. *)
 
 val refresh_gauges : unit -> unit
-(** One synchronous pass: the runtime gauges ([runtime.heap_words],
-    [runtime.minor_collections], [runtime.major_collections],
-    [runtime.compactions], [runtime.open_fds]) plus every registered
-    source, published into {!default}. *)
+(** Publishes the runtime gauges into {!default}:
+    [runtime.heap_words], [runtime.minor_collections],
+    [runtime.major_collections], [runtime.compactions] and
+    [runtime.open_fds]. *)

@@ -4,9 +4,9 @@
 
    A span is entered with the current block-read count of whatever
    Io_stats the caller is charged against and exited with the same
-   counter read again, so each event carries both wall time and blocks
-   touched during the phase. Nesting depth is tracked per domain (a
-   DLS counter), which lets the dump indent a query's pipeline —
+   counter read again, so each event carries both elapsed time and
+   blocks touched during the phase. Nesting depth is tracked per domain
+   (a DLS counter), which lets the dump indent a query's pipeline —
    first-level descent, then the PST / interval-tree / slab probes it
    dispatches — without the probes knowing about each other.
 
@@ -15,13 +15,12 @@
    from a server's worker domains can be stitched back into one
    per-request timeline after the fact.
 
-   When tracing is off ([Control.enabled () = false]) [enter] returns
-   the shared [none] span and [exit] returns immediately: no
-   allocation, no lock, no clock read. When on, each domain pushes
-   into its own ring (registered once, merged by [events ()]), so span
-   exits from concurrent query workers never contend on a shared ring
-   lock — only the per-phase histogram update serializes, inside the
-   registry. *)
+   When tracing is off ([Control.enabled () = false]) [with_span] is
+   exactly [f ()]: no allocation, no lock, no clock read. When on, each
+   domain pushes into its own ring (registered once, merged by
+   [events ()]), so span exits from concurrent query workers never
+   contend on a shared ring lock — only the per-phase histogram update
+   serializes, inside the registry. *)
 
 type event = {
   seq : int;
@@ -34,11 +33,12 @@ type event = {
   dom : int;
 }
 
-type span = { sphase : string; st0 : int; sblocks : int; sdepth : int; srid : int }
-
-let none = { sphase = ""; st0 = 0; sblocks = 0; sdepth = 0; srid = 0 }
-
-let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
+(* The one clock: CLOCK_MONOTONIC (ns resolution, never steps), shifted
+   by the wall time read once at start, so stamps from two processes
+   still line up. *)
+let monotonic_ns () = Int64.to_int (Monotonic_clock.now ())
+let wall_offset_ns = int_of_float (Unix.gettimeofday () *. 1e9) - monotonic_ns ()
+let now_ns () = monotonic_ns () + wall_offset_ns
 
 (* ---------------- request identity ---------------- *)
 
@@ -128,71 +128,45 @@ let depth_key = Domain.DLS.new_key (fun () -> ref 0)
 let span_histogram phase = "span." ^ phase ^ ".ns"
 let span_blocks_histogram phase = "span." ^ phase ^ ".blocks"
 
-let enter ?(blocks = 0) phase =
-  if not (Control.enabled ()) then none
-  else begin
-    let d = Domain.DLS.get depth_key in
-    let sp =
-      {
-        sphase = phase;
-        st0 = now_ns ();
-        sblocks = blocks;
-        sdepth = !d;
-        srid = current_request_id ();
-      }
-    in
-    incr d;
-    sp
-  end
-
-let exit ?(blocks = 0) sp =
-  if sp != none then begin
-    let d = Domain.DLS.get depth_key in
-    if !d > 0 then decr d;
-    let dur = now_ns () - sp.st0 in
-    let blocks = max 0 (blocks - sp.sblocks) in
-    let seq = Atomic.fetch_and_add next_seq 1 in
-    push
-      {
-        seq;
-        phase = sp.sphase;
-        depth = sp.sdepth;
-        t0_ns = sp.st0;
-        dur_ns = dur;
-        blocks;
-        request_id = sp.srid;
-        dom = (Domain.self () :> int);
-      };
-    Metrics.observe Metrics.default (span_histogram sp.sphase) dur;
-    Metrics.observe Metrics.default (span_blocks_histogram sp.sphase) blocks
-  end
+let push_event ~request_id ~depth ~t0_ns ~dur_ns ~blocks phase =
+  push
+    {
+      seq = Atomic.fetch_and_add next_seq 1;
+      phase;
+      depth;
+      t0_ns;
+      dur_ns;
+      blocks;
+      request_id;
+      dom = (Domain.self () :> int);
+    }
 
 let with_span ?(blocks = fun () -> 0) phase f =
   if not (Control.enabled ()) then f ()
   else begin
-    let sp = enter ~blocks:(blocks ()) phase in
-    Fun.protect ~finally:(fun () -> exit ~blocks:(blocks ()) sp) f
+    let d = Domain.DLS.get depth_key in
+    let depth = !d and request_id = current_request_id () in
+    let b0 = blocks () in
+    let t0_ns = now_ns () in
+    incr d;
+    Fun.protect
+      ~finally:(fun () ->
+        if !d > 0 then decr d;
+        let blocks = max 0 (blocks () - b0) in
+        let dur_ns = now_ns () - t0_ns in
+        push_event ~request_id ~depth ~t0_ns ~dur_ns ~blocks phase;
+        Metrics.observe Metrics.default (span_histogram phase) dur_ns;
+        Metrics.observe Metrics.default (span_blocks_histogram phase) blocks)
+      f
   end
 
 (* Direct event injection, for intervals whose start and end live on
    different domains (a request's queue wait: stamped at submit on one
-   domain, measured at pickup on another). Records into the calling
-   domain's ring and feeds the same per-phase histograms as a span. *)
+   domain, measured at pickup on another). Only the ring sees it: the
+   layer that measured the interval owns its histogram. *)
 let record ?request_id ?(blocks = 0) ~t0_ns ~dur_ns phase =
-  if Control.enabled () then begin
-    let rid = match request_id with Some r -> r | None -> current_request_id () in
-    let seq = Atomic.fetch_and_add next_seq 1 in
-    push
-      {
-        seq;
-        phase;
-        depth = !(Domain.DLS.get depth_key);
-        t0_ns;
-        dur_ns;
-        blocks;
-        request_id = rid;
-        dom = (Domain.self () :> int);
-      };
-    Metrics.observe Metrics.default (span_histogram phase) dur_ns;
-    Metrics.observe Metrics.default (span_blocks_histogram phase) blocks
-  end
+  if Control.enabled () then
+    let request_id =
+      match request_id with Some r -> r | None -> current_request_id ()
+    in
+    push_event ~request_id ~depth:!(Domain.DLS.get depth_key) ~t0_ns ~dur_ns ~blocks phase

@@ -14,25 +14,24 @@
     lets spans from a client process and a server's worker domains be
     stitched back into one per-request timeline.
 
-    All of it is inert while {!Control.enabled} is false: [enter]
-    returns a shared dummy, [exit] returns immediately, nothing is
-    allocated or locked. *)
+    Every stamp — span starts and durations, histogram samples, log
+    and slow-log times, request deadlines — reads {!now_ns}: one
+    monotonic clock with nanosecond resolution, shifted to wall time
+    once at process start.
+
+    All of it is inert while {!Control.enabled} is false: {!with_span}
+    is exactly its body, nothing is allocated or locked. *)
 
 type event = {
   seq : int;  (** monotone across the process; survives wraparound *)
   phase : string;
   depth : int;  (** nesting depth on the recording domain *)
-  t0_ns : int;  (** wall-clock start, nanoseconds *)
+  t0_ns : int;  (** start on {!now_ns}, nanoseconds *)
   dur_ns : int;
   blocks : int;  (** block reads charged during the span *)
   request_id : int;  (** request the span belongs to; 0 = none *)
   dom : int;  (** id of the domain that recorded the span *)
 }
-
-type span
-
-val none : span
-(** The disabled span; exiting it is a no-op. *)
 
 (** {1 Request identity} *)
 
@@ -51,27 +50,24 @@ val with_request_id : int -> (unit -> 'a) -> 'a
 
 (** {1 Spans} *)
 
-val enter : ?blocks:int -> string -> span
-(** Opens a span for [phase]. [blocks] is the caller's current
-    block-read counter (see {!Segdb_io.Probe} for the helper that picks
-    the right one); the matching [exit] turns the pair into a delta. *)
-
-val exit : ?blocks:int -> span -> unit
-(** Closes the span: records the event in the ring and feeds the
-    per-phase histograms. Safe from any domain. *)
-
 val with_span : ?blocks:(unit -> int) -> string -> (unit -> 'a) -> 'a
-(** [with_span phase f] wraps [f] in a span, sampling [blocks] at entry
-    and exit. When tracing is off this is exactly [f ()]. *)
+(** [with_span phase f] wraps [f] in a span: on exit (also by
+    exception) the event lands in the calling domain's ring and feeds
+    [span.<phase>.ns] and [span.<phase>.blocks]. [blocks] reads the
+    caller's block-read counter (see [Segdb_io.Probe] for the helper
+    that picks the right one) at entry and exit; the event carries the
+    delta. When tracing is off this is exactly [f ()]. *)
 
 val record :
   ?request_id:int -> ?blocks:int -> t0_ns:int -> dur_ns:int -> string -> unit
-(** [record ~t0_ns ~dur_ns phase] injects a completed event directly,
-    for intervals whose endpoints were measured out-of-band — e.g. a
-    queue wait stamped on the submitting domain and measured at pickup
-    on a worker. Uses the calling domain's current request id unless
-    [request_id] is given, and feeds the same per-phase histograms as
-    a span. No-op while tracing is off. *)
+(** [record ~t0_ns ~dur_ns phase] appends a completed event to the
+    calling domain's ring, for intervals whose endpoints were measured
+    out-of-band — e.g. a queue wait stamped on the submitting domain and
+    measured at pickup on a worker. Uses the calling domain's current
+    request id unless [request_id] is given. It feeds no histogram: the
+    caller that measured the interval records its own metric
+    ([exec.queue_wait.ns], [net.request.ns]). No-op while tracing is
+    off. *)
 
 (** {1 The ring} *)
 
@@ -95,4 +91,8 @@ val span_blocks_histogram : string -> string
 (** The blocks-per-span histogram name ([span.<phase>.blocks]). *)
 
 val now_ns : unit -> int
-(** The clock spans are stamped with (wall time in nanoseconds). *)
+(** The process's one clock, in nanoseconds: [CLOCK_MONOTONIC] plus a
+    wall-time offset read once at process start. It never steps, so
+    differences are durations and absolute values serve as deadlines;
+    the offset keeps stamps comparable across processes, which is how
+    a client's spans stitch with a server's. *)

@@ -24,7 +24,6 @@ let contains haystack needle =
 let resp_name = function
   | Wire.Pong -> "pong"
   | Wire.Ids _ -> "ids"
-  | Wire.Counted _ -> "counted"
   | Wire.Batch_ids _ -> "batch_ids"
   | Wire.Stats_payload _ -> "stats_payload"
   | Wire.Error (c, m) -> Printf.sprintf "error %s: %s" (Wire.error_code_to_string c) m
@@ -70,7 +69,6 @@ let gen_request =
       [
         return Wire.Ping;
         map (fun q -> Wire.Query q) gen_vquery;
-        map (fun q -> Wire.Count q) gen_vquery;
         map (fun qs -> Wire.Batch (Array.of_list qs)) (list_size (int_bound 8) gen_vquery);
         map (fun f -> Wire.Stats f) (oneofl [ `Text; `Json; `Prometheus ]);
         return Wire.Shutdown;
@@ -105,7 +103,6 @@ let gen_response =
           (fun ids complete faults -> Wire.Ids { ids; complete; faults })
           gen_ids bool
           (list_size (int_bound 3) gen_text);
-        map (fun n -> Wire.Counted n) (int_bound 1_000_000_000);
         map3
           (fun rs complete faults ->
             Wire.Batch_ids { results = Array.of_list rs; complete; faults })
@@ -384,7 +381,8 @@ let test_loopback_parity () =
           in
           Alcotest.(check bool) "byte-identical encodings" true
             (frame_of served.Db.Degraded.value = frame_of local);
-          (* singles and counts against the serial oracle *)
+          (* singles against the serial oracle; a count is the length
+             of a query answer *)
           Array.iter
             (fun q ->
               let one = Client.query c q in
@@ -392,7 +390,8 @@ let test_loopback_parity () =
               Alcotest.(check (list int)) "query ids"
                 (List.sort_uniq compare (Db.query_ids db q))
                 one.Db.Degraded.value;
-              Alcotest.(check int) "count" (Db.count db q) (Client.count c q))
+              Alcotest.(check int) "count" (Db.count db q)
+                (List.length one.Db.Degraded.value))
             (Array.sub qs 0 8)))
 
 let test_stats_over_wire () =
@@ -457,6 +456,47 @@ let with_obs f =
     (fun () ->
       Obs.Control.enable ();
       f ())
+
+(* Two servers in one process share the metrics registry, yet each
+   scrape reports the node that answers it, and each signal has one
+   name in the frame. *)
+let test_two_servers_own_gauges () =
+  with_obs @@ fun () ->
+  let serve epoch domains =
+    let db = build_db ~n:100 () in
+    let srv = Server.create ~epoch ~domains ~db (Server.Tcp ("127.0.0.1", 0)) in
+    Server.start srv;
+    (srv, epoch, domains)
+  in
+  let nodes = [ serve 3 1; serve 7 2 ] in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun (srv, _, _) ->
+          Server.stop srv;
+          Server.wait srv)
+        nodes)
+  @@ fun () ->
+  List.iter
+    (fun (srv, epoch, workers) ->
+      let c = Client.connect (Server.bound_addr srv) in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      for i = 0 to 4 do
+        ignore (Client.query c (Vquery.line ~x:(float_of_int (i * 20))))
+      done;
+      let js = Client.stats c `Json in
+      let check has key = Alcotest.(check bool) key has (contains js key) in
+      (* gauges render sorted by name, so another one follows each *)
+      check true (Printf.sprintf "\"repl.epoch\": %d," epoch);
+      check true (Printf.sprintf "\"exec.pool_workers\": %d," workers);
+      List.iter (check true)
+        [ "\"exec.queue_wait.ns\""; "\"exec.service.ns\""; "\"net.request.ns\"";
+          "\"net.decode.ns\""; "\"net.write.ns\""; "\"exec.queue_len\"";
+          "\"exec.pool_busy\""; "\"runtime.heap_words\""; "\"repl.last_lsn\"" ];
+      List.iter (check false)
+        [ "span.exec.queue_wait."; "span.server.request."; "exec.request.ns";
+          "exec.queue_depth" ])
+    nodes
 
 (* The acceptance criterion: a torn response frame kills the connection
    under the client, which retries to success; [io.retries] and
@@ -555,7 +595,8 @@ let run_lines cmd =
   | Unix.WEXITED 0 -> lines
   | _ -> Alcotest.failf "command failed: %s" cmd
 
-let test_cli_batch_stdin () =
+(* [f exe seg] with the CLI and a three-segment file, both quoted *)
+let with_cli f =
   match cli_exe with
   | None -> Alcotest.skip ()
   | Some exe ->
@@ -566,16 +607,32 @@ let test_cli_batch_stdin () =
           let oc = open_out seg in
           output_string oc "1 0 0 10 10\n2 5 0 5 10\n3 20 0 30 10\n";
           close_out oc;
-          let cmd =
-            Printf.sprintf "printf '5\\n25\\n' | %s batch %s -q - --domains 1"
-              (Filename.quote exe) (Filename.quote seg)
-          in
-          let lines = run_lines cmd in
-          let hits =
-            List.filter (fun l -> contains l "-> 2 segments" || contains l "-> 1 segments")
-              lines
-          in
-          Alcotest.(check int) "two answered queries" 2 (List.length hits))
+          f (Filename.quote exe) (Filename.quote seg))
+
+let exit_code cmd = Sys.command (cmd ^ " > /dev/null 2>&1")
+
+let test_cli_batch_stdin () =
+  with_cli @@ fun exe seg ->
+  let lines =
+    run_lines (Printf.sprintf "printf '5\\n25\\n' | %s batch %s -q - --domains 1" exe seg)
+  in
+  let hits =
+    List.filter (fun l -> contains l "-> 2 segments" || contains l "-> 1 segments") lines
+  in
+  Alcotest.(check int) "two answered queries" 2 (List.length hits)
+
+(* a bad flag or a dead server ends in a diagnostic and an exit code,
+   not an uncaught exception (exit 125) *)
+let test_cli_domains_zero () =
+  with_cli @@ fun exe seg ->
+  Alcotest.(check int) "cmdliner's usage error" 124
+    (exit_code (Printf.sprintf "printf '5\\n' | %s batch %s -q - --domains 0" exe seg))
+
+let test_cli_top_dead_socket () =
+  with_cli @@ fun exe seg ->
+  (* nothing listens at [seg] *)
+  Alcotest.(check int) "client error" 1
+    (exit_code (Printf.sprintf "%s top --connect unix:%s --iterations 1" exe seg))
 
 (* ---------------- HTTP monitoring endpoints ---------------- *)
 
@@ -701,6 +758,8 @@ let suite =
       Alcotest.test_case "loopback parity with the in-process engine" `Quick
         test_loopback_parity;
       Alcotest.test_case "stats frame over the wire" `Quick test_stats_over_wire;
+      Alcotest.test_case "two servers, each scrape reports its own node" `Quick
+        test_two_servers_own_gauges;
       Alcotest.test_case "shutdown frame drains the server" `Quick test_shutdown_frame;
       Alcotest.test_case "unix-domain socket serving" `Quick test_unix_socket;
       Alcotest.test_case "torn response heals via client retry" `Quick
@@ -709,6 +768,9 @@ let suite =
         test_overload_backpressure;
       Alcotest.test_case "queued past the deadline" `Quick test_deadline;
       Alcotest.test_case "cli batch reads queries from stdin" `Quick test_cli_batch_stdin;
+      Alcotest.test_case "cli batch rejects --domains 0" `Quick test_cli_domains_zero;
+      Alcotest.test_case "cli top against a dead socket exits 1" `Quick
+        test_cli_top_dead_socket;
       Alcotest.test_case "http: /metrics scrape + /healthz" `Quick test_http_metrics_scrape;
       Alcotest.test_case "http: stalled replica healthz 503" `Quick test_http_healthz_stall;
       Alcotest.test_case "http: malformed request answers 400" `Quick

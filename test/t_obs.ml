@@ -287,6 +287,23 @@ let test_span_nesting_and_histograms () =
   Trace.with_span "ghost" (fun () -> ());
   Alcotest.(check int) "still three" 3 (List.length (Trace.events ()))
 
+(* Spans read a nanosecond clock: an empty span still measures time.
+   A microsecond wall clock rounds most of these to 0. *)
+let test_empty_span_resolution () =
+  with_tracing @@ fun () ->
+  for _ = 1 to 200 do
+    Trace.with_span "empty" (fun () -> ())
+  done;
+  let durs =
+    List.filter_map
+      (fun (e : Trace.event) -> if e.phase = "empty" then Some e.dur_ns else None)
+      (Trace.events ())
+    |> List.sort compare
+  in
+  Alcotest.(check int) "200 spans" 200 (List.length durs);
+  let median = List.nth durs 100 in
+  Alcotest.(check bool) (Printf.sprintf "median %d ns > 0" median) true (median > 0)
+
 let test_per_domain_rings () =
   with_tracing @@ fun () ->
   (* writers on distinct domains record concurrently into private
@@ -745,6 +762,7 @@ let suite =
       Alcotest.test_case "io_stats increments are atomic" `Quick test_atomic_io_stats;
       Alcotest.test_case "trace ring wraparound" `Quick test_ring_wraparound;
       Alcotest.test_case "span nesting feeds histograms" `Quick test_span_nesting_and_histograms;
+      Alcotest.test_case "empty spans measure nonzero time" `Quick test_empty_span_resolution;
       Alcotest.test_case "per-domain rings merge losslessly" `Quick test_per_domain_rings;
       Alcotest.test_case "request-id propagation" `Quick test_request_ids;
       Alcotest.test_case "trace-event JSON well-formed" `Quick test_trace_json_wellformed;
