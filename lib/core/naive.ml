@@ -61,3 +61,4 @@ let iter_all t ~f = List.iter (fun a -> Array.iter f (Store.read t.store a)) t.b
 
 let size t = t.size
 let block_count t = Store.block_count t.store
+let check_invariants _ = true

@@ -1,7 +1,4 @@
-(** The R-tree baseline behind the common index interface. *)
+(** The R-tree baseline behind the common index interface; its
+    [check_invariants] is {!Segdb_rtree.Rtree.check_invariants}. *)
 
 include Vs_index.S
-
-val check_invariants : t -> bool
-(** Structural soundness of the underlying tree (see
-    {!Segdb_rtree.Rtree.check_invariants}). *)

@@ -3,13 +3,7 @@ open Segdb_geom
 
 type backend = [ `Naive | `Rtree | `Solution1 | `Solution2 | `Solution2_nofc ]
 
-(* The third field is the backend's invariant checker over the packed
-   value — carried inside the pack (rather than rebuilt from the
-   backend tag) so it survives the marshaled-image fast path: closures
-   marshal, and the executable-digest guard already ties images to the
-   writing binary. *)
-type pack =
-  | Pack : (module Vs_index.S with type t = 'a) * 'a * (unit -> bool) -> pack
+type pack = Pack : (module Vs_index.S with type t = 'a) * 'a -> pack
 
 type op = Op_insert of Segment.t | Op_delete of Segment.t
 
@@ -36,18 +30,10 @@ let seed_ids segs =
 
 let build_pack (cfg : Vs_index.config) backend segs =
   match backend with
-  | `Naive ->
-      let v = Naive.build cfg segs in
-      Pack ((module Naive), v, fun () -> true)
-  | `Rtree ->
-      let v = Rtree_index.build cfg segs in
-      Pack ((module Rtree_index), v, fun () -> Rtree_index.check_invariants v)
-  | `Solution1 ->
-      let v = Solution1.build cfg segs in
-      Pack ((module Solution1), v, fun () -> Solution1.check_invariants v)
-  | `Solution2 | `Solution2_nofc ->
-      let v = Solution2.build cfg segs in
-      Pack ((module Solution2), v, fun () -> Solution2.check_invariants v)
+  | `Naive -> Pack ((module Naive), Naive.build cfg segs)
+  | `Rtree -> Pack ((module Rtree_index), Rtree_index.build cfg segs)
+  | `Solution1 -> Pack ((module Solution1), Solution1.build cfg segs)
+  | `Solution2 | `Solution2_nofc -> Pack ((module Solution2), Solution2.build cfg segs)
 
 let create ?(backend = `Solution2) ?(block = 64) ?(pool_blocks = 64) segs =
   let cascade = backend <> `Solution2_nofc in
@@ -104,13 +90,13 @@ let log_op t op =
 let apply_insert t s =
   if Hashtbl.mem t.ids s.Segment.id then
     invalid_arg "Segdb.insert: duplicate segment id";
-  let (Pack ((module M), v, _)) = t.pack in
+  let (Pack ((module M), v)) = t.pack in
   M.insert v s;
   Hashtbl.replace t.ids s.Segment.id ();
   Atomic.incr t.generation
 
 let apply_delete t s =
-  let (Pack ((module M), v, _)) = t.pack in
+  let (Pack ((module M), v)) = t.pack in
   let hit = M.delete v s in
   if hit then begin
     Hashtbl.remove t.ids s.Segment.id;
@@ -153,7 +139,7 @@ let generation t = Atomic.get t.generation
 (* forward declaration lives below; the root span needs the resolved
    backend name, which depends on [t.cfg] *)
 let backend_name t =
-  let (Pack ((module M), _, _)) = t.pack in
+  let (Pack ((module M), _)) = t.pack in
   if M.name = "solution2" && not t.cfg.Vs_index.cascade then "solution2-nofc" else M.name
 
 (* The query path's own fault site: index blocks live in memory, so
@@ -170,7 +156,7 @@ let fire_query () =
 
 let query_iter t q ~f =
   fire_query ();
-  let (Pack ((module M), v, _)) = t.pack in
+  let (Pack ((module M), v)) = t.pack in
   if Segdb_obs.Control.enabled () then
     Probe.span t.cfg.stats ("query." ^ backend_name t) (fun () -> M.query v q ~f)
   else M.query v q ~f
@@ -210,7 +196,7 @@ let query_safe t q =
 
 let query_ids t q =
   fire_query ();
-  let (Pack ((module M), v, _)) = t.pack in
+  let (Pack ((module M), v)) = t.pack in
   Vs_index.query_ids (module M) v q
 
 let count t q =
@@ -219,7 +205,7 @@ let count t q =
   !n
 
 let iter_all t ~f =
-  let (Pack ((module M), v, _)) = t.pack in
+  let (Pack ((module M), v)) = t.pack in
   M.iter_all v ~f
 
 (* ---------------- parallel read path ---------------- *)
@@ -233,7 +219,7 @@ let reader_io = Vs_index.reader_io
 let with_reader = Vs_index.with_reader
 
 let query_ids_r t r q =
-  let (Pack ((module M), v, _)) = t.pack in
+  let (Pack ((module M), v)) = t.pack in
   Vs_index.query_ids_r (module M) r v q
 
 let segments t =
@@ -244,11 +230,11 @@ let segments t =
   arr
 
 let size t =
-  let (Pack ((module M), v, _)) = t.pack in
+  let (Pack ((module M), v)) = t.pack in
   M.size v
 
 let block_count t =
-  let (Pack ((module M), v, _)) = t.pack in
+  let (Pack ((module M), v)) = t.pack in
   M.block_count v
 
 let io t = t.cfg.stats
@@ -361,8 +347,6 @@ let scan_wal path =
 
 let apply_wal_ops t ops = List.iter (apply_op t) ops
 
-let wal_path t = Option.map Wal.path t.wal
-
 let detach_wal t =
   match t.wal with
   | None -> ()
@@ -380,8 +364,8 @@ let checkpoint ?image t path =
    semantics): id uniqueness, the NCT precondition over the stored set
    (plane sweep), the backend's own structural invariants (PST
    heap/x-order, interval-tree containment, cascade d-property, …)
-   via the pack's checker, and — when [queries > 0] — that many random
-   vertical-segment queries cross-checked against a freshly built
+   via its [check_invariants], and — when [queries > 0] — that many
+   random vertical-segment queries cross-checked against a freshly built
    naive index over the same segments. *)
 let validate ?(queries = 0) ?(seed = 0) t =
   let findings = ref [] in
@@ -393,13 +377,15 @@ let validate ?(queries = 0) ?(seed = 0) t =
       if Hashtbl.mem ids s.id then note "duplicate segment id %d" s.id
       else Hashtbl.add ids s.id ())
     segs;
-  let (Pack ((module M), v, check)) = t.pack in
+  let (Pack ((module M), v)) = t.pack in
   if M.size v <> Array.length segs then
     note "%s: size reports %d but iteration yields %d segments" (backend_name t)
       (M.size v) (Array.length segs);
   if not (Sweep.verify_nct segs) then
     note "stored segments violate NCT (a crossing pair exists)";
-  (try if not (check ()) then note "%s: structural invariants violated" (backend_name t)
+  (try
+     if not (M.check_invariants v) then
+       note "%s: structural invariants violated" (backend_name t)
    with e ->
      note "%s: invariant check raised %s" (backend_name t) (Printexc.to_string e));
   if queries > 0 && Array.length segs > 0 then begin

@@ -206,7 +206,6 @@ val commit : t -> op -> bool
     be retried or replayed (the server's wire writes, a replica
     applying its upstream's stream). *)
 
-val wal_path : t -> string option
 val detach_wal : t -> unit
 
 val checkpoint : ?image:bool -> t -> string -> unit

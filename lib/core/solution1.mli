@@ -18,11 +18,11 @@
     stops. Every segment is stored at exactly one node, so answers are
     reported once (base-line hits are de-duplicated by id).
 
-    Updates follow the paper's BB[alpha] discipline via weight-balanced
-    subtree rebuilds: storage O(n), query
+    This is Solution 2's tree at fan-out 2: one boundary per node, so
+    no segment crosses two and [G] stays empty. Updates follow the
+    paper's BB[alpha] discipline: a kid holding more than 3/4 of its
+    parent's weight is rebuilt. Storage O(n), query
     O(log n (log_B n + IL*(B)) + t), amortized logarithmic insertion —
     with our blocked PST standing in for the P-range tree (DESIGN.md). *)
 
 include Vs_index.S
-
-val check_invariants : t -> bool

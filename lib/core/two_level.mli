@@ -1,0 +1,49 @@
+(** The two-level index both solutions share (Sections 3 and 4).
+
+    First level: a weight-balanced tree over the x-order of segment
+    endpoints. A node's boundaries are endpoint quantiles and cut its
+    x-range into [b] slabs (the fan-out). A segment stays at the first
+    node where it touches a boundary; the rest recurse into their slab,
+    so every kid's segments lie strictly inside its slab. Per boundary
+    [i] a node keeps [C_i], an interval tree over the y-extents of the
+    segments lying on it, and [L_i] / [R_i], blocked PSTs over the
+    line-based short fragments to its left and right (Figure 6).
+    Segments crossing two or more boundaries also leave a long fragment
+    in the slab segment tree [G] (Section 4.2), cascaded when the
+    config says so.
+
+    A query visits one node per level: [G] on the way, then the PST on
+    each side of its slab at the distance to that boundary. A query
+    that lands on a boundary asks [C_i] and both PSTs at depth 0 and
+    stops, because no kid holds a segment touching the boundary.
+
+    At fan-out 2 a node has one boundary, no segment crosses two
+    boundaries and [G] is empty: the node is Solution 1's [bl(v)],
+    [C(v)], [L(v)] and [R(v)] with two kids. Solution 2 widens it to
+    [b = B/4]. Updates are local, plus scapegoat rebuilds of a kid that
+    grows too heavy ({!SHAPE.kid_share}) and a global rebuild once the
+    deletions since the last one outnumber the live segments plus [B]. *)
+
+(** The constants that make one backend out of the tree. *)
+module type SHAPE = sig
+  val name : string
+  (** The backend's {!Vs_index.S.name}. *)
+
+  val tag : string
+  (** The block store's name; the query span is [tag ^ ".descent"]. *)
+
+  val fanout : block:int -> int
+  (** Slabs per node for block size [B]: at least 2. *)
+
+  val kid_share : fanout:int -> int * int
+  (** [(p, q)]: after an insert below a node of weight [w > 4B], a kid
+      of weight [k] with [q (k + 1) > p (w + 1)] is rebuilt. *)
+end
+
+module Make (_ : SHAPE) : sig
+  include Vs_index.S
+
+  val cascade_counters : t -> int * int
+  (** (guided levels, fallback searches) accumulated across all [G]
+      structures. *)
+end

@@ -41,6 +41,7 @@ module type S = sig
   val iter_all : t -> f:(Segment.t -> unit) -> unit
   val size : t -> int
   val block_count : t -> int
+  val check_invariants : t -> bool
 end
 
 let query_ids (type a) (module M : S with type t = a) (t : a) q =

@@ -75,6 +75,12 @@ module type S = sig
 
   val size : t -> int
   val block_count : t -> int
+
+  val check_invariants : t -> bool
+  (** The backend's structural soundness (PST heap and x-order,
+      interval-tree containment, the cascade's d-property, slab
+      placement — whatever the backend defines); [true] when it has
+      none. Backs {!Segdb.validate}. *)
 end
 
 val query_ids : (module S with type t = 'a) -> 'a -> Vquery.t -> int list

@@ -91,22 +91,6 @@ let pair a b =
         (x, y));
   }
 
-let option a =
-  {
-    write =
-      (fun buf -> function
-        | None -> W.u8 buf 0
-        | Some v ->
-            W.u8 buf 1;
-            a.write buf v);
-    read =
-      (fun r ->
-        match R.u8 r with
-        | 0 -> None
-        | 1 -> Some (a.read r)
-        | v -> corrupt "invalid option byte %d" v);
-  }
-
 let array a =
   {
     write =

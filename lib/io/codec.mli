@@ -49,7 +49,6 @@ val float : float t
 val bool : bool t
 val string : string t
 val pair : 'a t -> 'b t -> ('a * 'b) t
-val option : 'a t -> 'a option t
 val array : 'a t -> 'a array t
 val list : 'a t -> 'a list t
 

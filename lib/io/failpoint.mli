@@ -64,8 +64,9 @@ val plan : ?at:int -> ?persistent:bool -> action -> plan
 
 val arm : ?seed:int -> (string * plan) list -> unit
 (** Installs the plans (replacing any previous arming), resets every
-    site's hit counter, and seeds the injection {!rng}. Unknown site
-    names are accepted — the site may register later. *)
+    site's hit counter, and seeds the generator the injection helpers
+    draw from. Unknown site names are accepted — the site may register
+    later. *)
 
 val disarm : unit -> unit
 
@@ -87,9 +88,6 @@ val fire : site -> action option
 
 val hits : site -> int
 (** Hits since the last {!arm}. *)
-
-val rng : unit -> Segdb_util.Rng.t
-(** The arming-seeded generator injection helpers draw from. *)
 
 (** Hardened syscall wrappers shared by {!Wal}, the snapshot writer
     and the network layer. Each wrapper consults its fault site on every

@@ -1,10 +1,4 @@
-type t = {
-  path : string;
-  fd : Unix.file_descr;
-  sync_every_append : bool;
-  mutable bytes : int;
-  mutable count : int;
-}
+type t = { fd : Unix.file_descr; sync_every_append : bool; mutable bytes : int }
 
 let c_append = Probe.counter "wal.append"
 let c_replayed = Probe.counter "wal.replayed"
@@ -80,8 +74,7 @@ let open_ ?(sync = true) path =
           Segdb_obs.Log.i "bytes" valid;
         ]);
   Probe.bump_by c_replayed (List.length records);
-  ( { path; fd; sync_every_append = sync; bytes = valid; count = List.length records },
-    records )
+  ({ fd; sync_every_append = sync; bytes = valid }, records)
 
 let append t payload =
   Probe.bump c_append;
@@ -97,14 +90,12 @@ let append t payload =
      rather than spinning). *)
   Failpoint.Io.write_all ~site:sp_append t.fd ~off:t.bytes (Buffer.to_bytes b);
   t.bytes <- t.bytes + Buffer.length b;
-  t.count <- t.count + 1;
   if t.sync_every_append then Failpoint.Io.fsync t.fd
 
 let reset t =
   Unix.ftruncate t.fd 0;
   ignore (Unix.lseek t.fd 0 Unix.SEEK_SET);
   t.bytes <- 0;
-  t.count <- 0;
   Failpoint.Io.fsync t.fd
 
 (* ---------------- offline audit ---------------- *)
@@ -124,6 +115,4 @@ let audit path =
     }
 
 let size t = t.bytes
-let records t = t.count
-let path t = t.path
 let close t = Unix.close t.fd

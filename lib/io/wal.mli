@@ -52,8 +52,4 @@ val reset : t -> unit
 val size : t -> int
 (** Current length of the log in bytes. *)
 
-val records : t -> int
-(** Records appended or replayed through this handle since open. *)
-
-val path : t -> string
 val close : t -> unit

@@ -40,13 +40,6 @@ let set_level = function
   | None -> Atomic.set threshold off_threshold
   | Some l -> Atomic.set threshold (severity l)
 
-let level () =
-  match Atomic.get threshold with
-  | 0 -> Some Debug
-  | 1 -> Some Info
-  | 2 -> Some Warn
-  | 3 -> Some Error
-  | _ -> None
 
 let would_log l = severity l >= Atomic.get threshold
 

@@ -17,8 +17,6 @@ val set_level : level option -> unit
 (** [set_level (Some l)] enables events at [l] and above; [None]
     (the default) disables logging entirely. *)
 
-val level : unit -> level option
-
 val would_log : level -> bool
 (** One [Atomic.get]: would an event at this level be emitted? *)
 

@@ -41,7 +41,6 @@ let no_child = { addr = Block_store.null; top = neg_infinity; kmin = dummy_seg; 
 let key_min a b = if Lseg.compare_key a b <= 0 then a else b
 let key_max a b = if Lseg.compare_key a b >= 0 then a else b
 
-let node_capacity t = t.cap
 let size t = t.root.csize
 
 (* ---------------- static construction ---------------- *)
@@ -138,11 +137,6 @@ let rec iter_sub t (c : child) f =
   end
 
 let iter t f = iter_sub t t.root f
-
-let to_list t =
-  let acc = ref [] in
-  iter t (fun s -> acc := s :: !acc);
-  !acc
 
 let rec height_sub t (c : child) =
   if c.addr = Block_store.null then 0

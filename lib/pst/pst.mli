@@ -74,7 +74,6 @@ val delete : t -> Lseg.t -> bool
 val size : t -> int
 val height : t -> int
 val block_count : t -> int
-val node_capacity : t -> int
 
 val query : t -> Lseg.query -> f:(Lseg.t -> unit) -> unit
 (** Reports every stored segment intersected by the query, exactly once,
@@ -117,8 +116,6 @@ val query_two_phase : t -> Lseg.query -> f:(Lseg.t -> unit) -> unit
     results as {!query}; kept as the faithful-to-the-text variant. *)
 
 val iter : t -> (Lseg.t -> unit) -> unit
-
-val to_list : t -> Lseg.t list
 
 val check_invariants : t -> bool
 (** Heap order on [far_u], key order inside blocks and across children,

@@ -51,6 +51,13 @@ let interesting_xs segs x =
   else
     [ x; segs.(Array.length segs / 2).Segment.x1; segs.(Array.length segs / 3).Segment.x2 ]
 
+(* Every first-level boundary is an endpoint abscissa, so a line query
+   at each distinct one lands on every boundary the tree can hold. *)
+let endpoint_xs segs =
+  Array.to_list segs
+  |> List.concat_map (fun (s : Segment.t) -> [ s.Segment.x1; s.Segment.x2 ])
+  |> List.sort_uniq compare
+
 let check_backend (module M : Vs.S) cfg segs queries =
   let t = M.build cfg segs in
   List.for_all (fun q -> Vs.query_ids (module M) t q = oracle segs q) queries
@@ -65,6 +72,7 @@ let queries_of segs (x, y1, w) =
         Vquery.ray_down ~x ~yhi:(y1 +. w);
       ])
     (interesting_xs segs x)
+  @ List.map (fun x -> Vquery.line ~x) (endpoint_xs segs)
 
 let prop_all_backends_oracle =
   QCheck.Test.make ~name:"all backends equal naive filter" ~count:250 scenario

@@ -310,12 +310,12 @@ let prop_crc_incremental =
 
 let prop_codec_roundtrip =
   let c =
-    Codec.(pair int (pair float (pair string (pair bool (list (option int))))))
+    Codec.(pair int (pair float (pair string (pair bool (list int)))))
   in
   QCheck.Test.make ~name:"codec roundtrip" ~count:300
     QCheck.(
       quad int float (printable_string)
-        (pair bool (small_list (option int))))
+        (pair bool (small_list int)))
     (fun (i, f, s, (b, l)) ->
       let v = (i, (f, (s, (b, l)))) in
       let d = Codec.decode c (Codec.encode c v) in
