@@ -148,9 +148,10 @@ module Exec = Segdb_exec.Exec
    cooperative fan-out across [domains] participants: the caller plus
    [domains - 1] workers), and through [Exec.submit] on the same pool
    (the server's admission path) — and the answers must be identical,
-   element by element. A second batch runs after a burst of inserts and
-   deletes so the cross-check also covers indexes reshaped by mutation
-   (rebuilt PSTs, split blocks). *)
+   element by element. Three more batches each follow a burst of
+   inserts and deletes, so the cross-check also covers indexes reshaped
+   by mutation (rebuilt PSTs, split blocks) and workers whose cached
+   readers outlived the writes. *)
 
 let run_parallel_round ~seed ~ops ~size ~domains round =
   let seed = seed + (round * 31337) in
@@ -236,27 +237,30 @@ let run_parallel_round ~seed ~ops ~size ~domains round =
   in
   Fun.protect ~finally:(fun () -> Exec.shutdown pool) @@ fun () ->
   cross_check "fresh build";
-  (* reshape the indexes, then cross-check again *)
-  for _ = 1 to max 1 (size / 4) do
-    match !spare with
-    | s :: rest ->
-        spare := rest;
-        live := s :: !live;
-        List.iter (fun (_, db) -> Db.insert db s) dbs
-    | [] -> ()
-  done;
-  for _ = 1 to max 1 (size / 8) do
-    match !live with
-    | [] -> ()
-    | _ ->
-        let s = List.nth !live (Rng.int rng (List.length !live)) in
-        live := List.filter (fun (c : Segment.t) -> c.id <> s.Segment.id) !live;
-        List.iter
-          (fun (name, db) ->
-            if not (Db.delete db s) then fail "%s delete missed id %d" name s.Segment.id)
-          dbs
-  done;
-  cross_check "after mutation"
+  (* reshape the indexes, then cross-check again: the pool's workers
+     keep their cached readers across every burst *)
+  for burst = 1 to 3 do
+    for _ = 1 to max 1 (size / 4) do
+      match !spare with
+      | s :: rest ->
+          spare := rest;
+          live := s :: !live;
+          List.iter (fun (_, db) -> Db.insert db s) dbs
+      | [] -> ()
+    done;
+    for _ = 1 to max 1 (size / 8) do
+      match !live with
+      | [] -> ()
+      | _ ->
+          let s = List.nth !live (Rng.int rng (List.length !live)) in
+          live := List.filter (fun (c : Segment.t) -> c.id <> s.Segment.id) !live;
+          List.iter
+            (fun (name, db) ->
+              if not (Db.delete db s) then fail "%s delete missed id %d" name s.Segment.id)
+            dbs
+    done;
+    cross_check (Printf.sprintf "after mutation %d" burst)
+  done
 
 (* Persistence round: random ops against the facade with a WAL attached,
    snapshots at random points, then a simulated crash — the db is dropped

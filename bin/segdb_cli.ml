@@ -743,17 +743,12 @@ let open_snapshot_exn snap no_image wal print_ids x ylo yhi =
       in
       let io = Db.io db in
       Io_stats.reset io;
-      let r = Db.query_safe db q in
-      let ids =
-        List.sort compare (List.map (fun (s : Segment.t) -> s.Segment.id) r.Db.Degraded.value)
-      in
+      let { Db.Degraded.value = ids; complete; faults } = Db.query_safe db q in
       Printf.printf "%s -> %d segments%s (%s)\n"
         (Format.asprintf "%a" Vquery.pp q)
         (List.length ids)
-        (if r.Db.Degraded.complete then ""
-         else
-           Printf.sprintf " [DEGRADED: partial result; %s]"
-             (String.concat "; " r.Db.Degraded.faults))
+        (if complete then ""
+         else Printf.sprintf " [DEGRADED: partial result; %s]" (String.concat "; " faults))
         (Format.asprintf "%a" Io_stats.pp io);
       List.iter (Printf.printf "%d\n") ids);
   if print_ids then
@@ -1174,13 +1169,11 @@ let find_sub hay sub =
   go 0
 
 (* minimal HTTP GET against the monitoring exporter *)
-let http_get sa path =
-  let dom = match sa with Unix.ADDR_UNIX _ -> Unix.PF_UNIX | _ -> Unix.PF_INET in
-  let fd = Unix.socket dom Unix.SOCK_STREAM 0 in
+let http_get addr path =
+  let fd = Server.dial addr in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error (_, _, _) -> ())
     (fun () ->
-      Unix.connect fd sa;
       let req = Printf.sprintf "GET %s HTTP/1.0\r\n\r\n" path in
       let b = Bytes.of_string req in
       let off = ref 0 in
@@ -1233,9 +1226,7 @@ let top connect metrics_addr interval_ms iterations no_clear =
         ( Server.addr_to_string (Client.endpoint c),
           (fun () -> Client.stats c `Prometheus),
           fun () -> Client.close c )
-    | None, Some ma ->
-        let sa = Server.sockaddr_of ma in
-        (Server.addr_to_string ma, (fun () -> http_get sa "/metrics"), fun () -> ())
+    | None, Some ma -> (Server.addr_to_string ma, (fun () -> http_get ma "/metrics"), fun () -> ())
     | None, None ->
         Printf.eprintf "top: pass --connect ADDR or --metrics-addr ADDR\n";
         exit 2

@@ -12,10 +12,6 @@ type t = {
   backend : backend;
   pack : pack;
   mutable wal : Wal.t option;
-  generation : int Atomic.t;
-      (* bumped by every structural mutation; lets long-lived readers
-         (e.g. the execution engine's per-domain cache) detect that
-         their block shard may hold stale pages *)
   ids : (int, unit) Hashtbl.t;
       (* live segment ids; the duplicate-insert guard must not depend
          on the backend (naive/rtree accept duplicates, solution1/2
@@ -38,8 +34,7 @@ let build_pack (cfg : Vs_index.config) backend segs =
 let create ?(backend = `Solution2) ?(block = 64) ?(pool_blocks = 64) segs =
   let cascade = backend <> `Solution2_nofc in
   let cfg = Vs_index.config ~pool_blocks ~block ~cascade () in
-  { cfg; backend; pack = build_pack cfg backend segs; wal = None;
-    generation = Atomic.make 0; ids = seed_ids segs }
+  { cfg; backend; pack = build_pack cfg backend segs; wal = None; ids = seed_ids segs }
 
 let of_segments ?backend ?block ?pool_blocks polylines =
   let acc = ref [] in
@@ -92,16 +87,12 @@ let apply_insert t s =
     invalid_arg "Segdb.insert: duplicate segment id";
   let (Pack ((module M), v)) = t.pack in
   M.insert v s;
-  Hashtbl.replace t.ids s.Segment.id ();
-  Atomic.incr t.generation
+  Hashtbl.replace t.ids s.Segment.id ()
 
 let apply_delete t s =
   let (Pack ((module M), v)) = t.pack in
   let hit = M.delete v s in
-  if hit then begin
-    Hashtbl.remove t.ids s.Segment.id;
-    Atomic.incr t.generation
-  end;
+  if hit then Hashtbl.remove t.ids s.Segment.id;
   hit
 
 (* Replay is idempotent where the index is not: a record whose effect is
@@ -131,8 +122,6 @@ let commit t op =
   match op with
   | Op_insert s -> ( try apply_insert t s; true with Invalid_argument _ -> false)
   | Op_delete s -> apply_delete t s
-
-let generation t = Atomic.get t.generation
 
 (* ---------------- queries ---------------- *)
 
@@ -184,9 +173,9 @@ end
 
 let query_safe t q =
   let acc = ref [] in
-  let finish () = List.rev !acc in
+  let finish () = List.sort compare !acc in
   try
-    query_iter t q ~f:(fun s -> acc := s :: !acc);
+    query_iter t q ~f:(fun s -> acc := s.Segment.id :: !acc);
     Degraded.ok (finish ())
   with
   | Codec.Corrupt m -> Degraded.partial (finish ()) [ "undecodable block: " ^ m ]
@@ -298,8 +287,7 @@ let open_db_mode ?(use_image = true) path =
           try
             let cfg, pack = (Marshal.from_string img 0 : Vs_index.config * pack) in
             Some
-              { cfg; backend; pack; wal = None; generation = Atomic.make 0;
-                ids = seed_ids c.segments }
+              { cfg; backend; pack; wal = None; ids = seed_ids c.segments }
           with Failure _ -> None)
       | _ -> None
   in

@@ -56,13 +56,6 @@ val delete : t -> Segment.t -> bool
     logarithmic via local removal plus periodic rebuilds. Logged like
     {!insert} when a WAL is attached. *)
 
-val generation : t -> int
-(** Monotone counter bumped by every structural mutation ({!insert},
-    effective {!delete}, WAL replay). Long-lived readers — e.g. the
-    execution engine's per-domain cached readers — compare it against
-    the value captured at reader creation to detect that their private
-    block shard may hold stale pages and must be rebuilt. *)
-
 val query : t -> Vquery.t -> Segment.t list
 val query_ids : t -> Vquery.t -> int list
 val count : t -> Vquery.t -> int
@@ -86,17 +79,16 @@ module Degraded : sig
   val pp : (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a t -> unit
 end
 
-val query_safe : t -> Vquery.t -> Segment.t list Degraded.t
-(** {!query}, catching storage faults (undecodable blocks, [Unix]
+val query_safe : t -> Vquery.t -> int list Degraded.t
+(** {!query_ids}, catching storage faults (undecodable blocks, [Unix]
     errors that survived the retry policy) into a {!Degraded.t} instead
-    of raising. Injected crashes ([Failpoint.Injected_crash]) still
-    propagate — they model process death, not a servable fault. *)
+    of raising: the ids collected before a fault, sorted as
+    {!query_ids} sorts them. Injected crashes
+    ([Failpoint.Injected_crash]) still propagate — they model process
+    death, not a servable fault. *)
 
 val size : t -> int
 val block_count : t -> int
-
-val iter_all : t -> f:(Segment.t -> unit) -> unit
-(** Every stored segment once, in unspecified order. *)
 
 val segments : t -> Segment.t array
 (** Every stored segment, sorted by id — what {!save} persists. *)
@@ -120,7 +112,8 @@ val reader : ?cache_blocks:int -> t -> reader
 (** A fresh read context for this database. [cache_blocks] sizes the
     reader's private LRU shard (default: the shared pool's capacity).
     Readers are cheap; use one per domain, never share one across
-    databases. *)
+    databases. A reader stays valid across writes: a block cached
+    before a write to its store is refetched. *)
 
 val reader_io : reader -> Io_stats.t
 (** The reader's own counter — cold misses this reader paid; its

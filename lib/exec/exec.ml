@@ -1,6 +1,5 @@
 open Segdb_geom
 module Db = Segdb_core.Segdb
-module Cancel = Segdb_io.Cancel
 module Io_stats = Segdb_io.Io_stats
 module Read_context = Segdb_io.Read_context
 module Obs = Segdb_obs
@@ -133,9 +132,6 @@ let push_helper t job =
 
 (* ---------------- the per-query loop ---------------- *)
 
-let ids_of_segs segs =
-  List.sort_uniq compare (List.map (fun (s : Segment.t) -> s.id) segs)
-
 type worker_stats = {
   worker : int;
   queries : int;
@@ -191,22 +187,21 @@ let run_batch pool ~reader ~contain_faults db req ~domains =
       Atomic.incr running;
       if not (Atomic.get closed) then begin
         let r = reader () in
-        let h = Cancel.create ~deadline_ns in
         let served = ref 0 in
         let h0 = Read_context.cache_hits r and m0 = Read_context.cache_misses r in
         let r0 = Io_stats.reads (Db.reader_io r) in
         let rec loop first =
           if Atomic.get closed || Atomic.get stop <> None then ()
-          else if (not first) && Cancel.expired deadline_ns then post stop R_deadline
+          else if (not first) && Read_context.expired deadline_ns then post stop R_deadline
           else begin
             let i = Atomic.fetch_and_add next 1 in
             if i < n then begin
               (* first-query immunity: the deadline arms only once this
                  participant has answered something, so a tight budget
                  degrades to a partial batch, never an empty one *)
-              Cancel.set_deadline_enabled h (not first);
+              Read_context.arm r (not first);
               let d = Db.query_safe db qs.(i) in
-              out.(i) <- ids_of_segs d.Db.Degraded.value;
+              out.(i) <- d.Db.Degraded.value;
               if d.Db.Degraded.faults <> [] then
                 pfaults.(k) <- List.rev_append d.Db.Degraded.faults pfaults.(k);
               incr served;
@@ -214,13 +209,15 @@ let run_batch pool ~reader ~contain_faults db req ~domains =
             end
           end
         in
-        (* the reader and the handle are installed once for the whole
-           batch — per-query install cost (DLS save/restore, the
-           process-wide counter) would dominate cheap queries *)
-        (match Db.with_reader r (fun () -> Cancel.install h (fun () -> loop true)) with
+        (* the reader is installed once for the whole batch — a
+           per-query DLS save/restore would dominate cheap queries *)
+        Read_context.set_deadline r deadline_ns;
+        (match Db.with_reader r (fun () -> loop true) with
         | () -> ()
-        | exception Cancel.Expired -> post stop R_deadline
+        | exception Read_context.Expired -> post stop R_deadline
         | exception e -> post stop (R_fault (e, Printexc.get_raw_backtrace ())));
+        (* a cached reader outlives this request *)
+        Read_context.set_deadline r 0;
         (* folded once per participant — a per-query RMW on a shared
            counter is measurable against cheap queries *)
         ignore (Atomic.fetch_and_add completed !served);
@@ -345,22 +342,19 @@ let finish tk outcome =
 (* Per-domain reader cache for the submit path: a worker serving a
    stream of requests against one database keeps its LRU shard warm
    across requests — the behavior the network server had when it owned
-   its workers. Keyed by physical identity of the database plus its
-   mutation generation: a shard warmed before an insert or delete may
-   hold stale pages, so the reader is rebuilt when the generation has
-   moved. *)
-let dls_readers : (Obj.t * int * Db.reader) list ref Domain.DLS.key =
+   its workers. Keyed by the database's physical identity alone: the
+   reader survives writes, because the storage layer treats a shard
+   entry cached before its store's last write as a miss. *)
+let dls_readers : (Db.t * Db.reader) list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 
 let cached_reader db =
   let slot = Domain.DLS.get dls_readers in
-  let key = Obj.repr db in
-  let gen = Db.generation db in
-  match List.find_opt (fun (k, g, _) -> k == key && g = gen) !slot with
-  | Some (_, _, r) -> r
+  match List.find_opt (fun (d, _) -> d == db) !slot with
+  | Some (_, r) -> r
   | None ->
       let r = Db.reader db in
-      slot := (key, gen, r) :: List.filter (fun (k, _, _) -> k != key) !slot;
+      slot := (db, r) :: !slot;
       r
 
 (* Runs on the worker that picked the request up: [run_batch] with that
@@ -379,7 +373,7 @@ let serve pool tk db =
       "exec.queue_wait"
   end;
   let outcome, stats =
-    if Cancel.expired req.rq_deadline_ns then
+    if Read_context.expired req.rq_deadline_ns then
       (* expired while queued: refuse to start — the immunity rule only
          protects requests that reached a worker in time *)
       ( Deadline_exceeded

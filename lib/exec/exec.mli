@@ -6,10 +6,10 @@ module Db = Segdb_core.Segdb
     [Exec] owns query execution end-to-end. A {!t} is a persistent pool
     of worker domains — spawned once, reused for every batch — fed by a
     bounded job queue. Work arrives as a typed {!request} (query batch,
-    absolute deadline) and leaves as a typed {!outcome}; deadlines
-    propagate into the storage layer through [Segdb_io.Cancel], so an
-    expired request stops at the next block fetch instead of scanning
-    to completion.
+    absolute deadline) and leaves as a typed {!outcome}; each
+    participant's reader ([Segdb_io.Read_context]) carries the
+    deadline into the storage layer, so an expired request stops at the
+    next block fetch instead of scanning to completion.
 
     Two ways in, one per-query loop behind both:
 
@@ -174,7 +174,9 @@ val submit : ?on_complete:(outcome -> unit) -> t -> Db.t -> request -> ticket
     coordination hop. Workers keep one cached reader per database they
     have served (keyed by physical identity, its shard the size of the
     database's pool), so a request stream against one database keeps
-    its LRU shard warm across requests. *)
+    its LRU shard warm across requests. The reader survives writes
+    between requests: the storage layer refetches only blocks of
+    stores written since they were cached. *)
 
 val await : ticket -> outcome
 (** Blocks until the outcome is recorded; returns immediately on an

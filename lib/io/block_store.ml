@@ -18,10 +18,6 @@ module Pool = struct
     Lru.put t.lru a entry ~on_evict:(fun _ e -> e.evict ())
 
   let forget t a = ignore (Lru.remove t.lru a)
-
-  let hits t = Lru.hits t.lru
-  let misses t = Lru.misses t.lru
-  let note_miss t = Lru.note_miss t.lru
 end
 
 module Make (P : sig
@@ -38,6 +34,9 @@ struct
     disk : (addr, P.t) Hashtbl.t; (* contents of non-resident blocks *)
     cache : (addr, frame) Hashtbl.t; (* resident blocks of this store *)
     live : (addr, unit) Hashtbl.t;
+    mutable epoch : int;
+        (* bumped by [write] and [free]; a reader's shard entry from an
+           older epoch is a miss *)
   }
 
   let create ?(name = "store") ~pool ~stats () =
@@ -49,6 +48,7 @@ struct
       disk = Hashtbl.create 1024;
       cache = Hashtbl.create 64;
       live = Hashtbl.create 1024;
+      epoch = 0;
     }
 
   (* Mutators refuse to run under a read context: queries that sneak in
@@ -89,29 +89,31 @@ struct
      by the reader/writer contract). A block resident in the shared pool
      is free, exactly as in the serial model; a disk block charges one
      read to the *reader's* stats and lands in the reader's own LRU
-     shard, so each reader pays its own cold misses. *)
+     shard, so each reader pays its own cold misses. A shard entry
+     cached before this store's last write or free is a miss like any
+     other, charged only if its block has left the shared pool. *)
   let read_via t ctx a =
-    match Read_context.find ctx ~uid:t.uid ~addr:a with
+    (* block-fetch granularity for deadlines: an expired request stops
+       here instead of scanning to completion *)
+    Read_context.poll ctx;
+    match Read_context.find ctx ~uid:t.uid ~epoch:t.epoch ~addr:a with
     | Some payload -> (Obj.obj payload : P.t)
     | None -> (
         match Hashtbl.find_opt t.cache a with
         | Some frame ->
             (* free (no disk read), but warm the reader's shard so the
                next access is a local hit rather than a recounted miss *)
-            Read_context.add ctx ~uid:t.uid ~addr:a (Obj.repr frame.payload);
+            Read_context.add ctx ~uid:t.uid ~epoch:t.epoch ~addr:a (Obj.repr frame.payload);
             frame.payload
         | None -> (
             match Hashtbl.find_opt t.disk a with
             | Some payload ->
                 Io_stats.record_read (Read_context.stats ctx);
-                Read_context.add ctx ~uid:t.uid ~addr:a (Obj.repr payload);
+                Read_context.add ctx ~uid:t.uid ~epoch:t.epoch ~addr:a (Obj.repr payload);
                 payload
             | None -> fail_unknown t a))
 
   let read t a =
-    (* block-fetch granularity for cooperative cancellation: an
-       expired request stops here instead of scanning to completion *)
-    Cancel.poll ();
     match Read_context.active () with
     | Some ctx -> read_via t ctx a
     | None -> (
@@ -122,7 +124,6 @@ struct
         | None -> (
             match Hashtbl.find_opt t.disk a with
             | Some payload ->
-                Pool.note_miss t.pool;
                 Io_stats.record_read t.io;
                 Hashtbl.remove t.disk a;
                 make_resident t a { payload; dirty = false };
@@ -132,6 +133,7 @@ struct
   let write t a payload =
     guard_writer t "write";
     if not (Hashtbl.mem t.live a) then fail_unknown t a;
+    t.epoch <- t.epoch + 1;
     match Hashtbl.find_opt t.cache a with
     | Some frame ->
         frame.payload <- payload;
@@ -146,6 +148,7 @@ struct
   let free t a =
     guard_writer t "free";
     if not (Hashtbl.mem t.live a) then fail_unknown t a;
+    t.epoch <- t.epoch + 1;
     Hashtbl.remove t.live a;
     Hashtbl.remove t.disk a;
     if Hashtbl.mem t.cache a then begin
@@ -164,6 +167,4 @@ struct
       t.cache
 
   let block_count t = Hashtbl.length t.live
-
-  let stats t = t.io
 end

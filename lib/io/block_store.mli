@@ -16,9 +16,13 @@
     pure lookup path: shared pool, shared stats and store tables are
     consulted without being modified, cold misses are charged to the
     reader's own counter and cached in the reader's own LRU shard, and
-    [alloc]/[write]/[free]/[flush] raise [Invalid_argument]. Outside a
-    context the behaviour (and the accounting the experiments measure)
-    is exactly the historical single-handle one. *)
+    [alloc]/[write]/[free]/[flush] raise [Invalid_argument]. Each store
+    keeps a write epoch that [write] and [free] bump; a reader's shard
+    entry from an older epoch is a miss, so a reader may outlive any
+    number of writes. Reads under a context also poll its deadline
+    ({!Read_context.set_deadline}). Outside a context the behaviour
+    (and the accounting the experiments measure) is exactly the
+    historical single-handle one. *)
 
 type addr = int
 
@@ -36,14 +40,6 @@ module Pool : sig
 
   val capacity : t -> int
   val resident : t -> int
-
-  val hits : t -> int
-  (** Lookups that found their block resident (serial path only: the
-      reader path consults the pool without touching it and accounts in
-      the reader's own context instead, see {!Read_context}). *)
-
-  val misses : t -> int
-  (** Serial-path lookups that had to fetch the block from disk. *)
 end
 
 module Make (P : sig
@@ -66,13 +62,14 @@ end) : sig
       address. *)
 
   val write : t -> addr -> P.t -> unit
-  (** Replaces the block's payload, marking it dirty. Charges one read on
-      a pool miss? No — overwriting does not need the old contents, so a
-      miss charges nothing at write time; the dirty page is charged one
-      write when evicted or flushed. *)
+  (** Replaces the block's payload, resident and dirty, and bumps the
+      store's write epoch. Charges nothing now, not even on a pool miss,
+      because an overwrite does not need the old contents; the dirty
+      block is charged one write when it is evicted or flushed. *)
 
   val free : t -> addr -> unit
-  (** Discards the block without write-back. *)
+  (** Discards the block without write-back and bumps the store's write
+      epoch. *)
 
   val flush : t -> unit
   (** Writes back all dirty resident blocks of this store. *)
@@ -80,6 +77,4 @@ end) : sig
   val block_count : t -> int
   (** Number of live (allocated, not freed) blocks: the structure's space
       in blocks. *)
-
-  val stats : t -> Io_stats.t
 end

@@ -10,8 +10,6 @@ type 'a t = {
   table : (int, 'a node) Hashtbl.t;
   mutable head : 'a node option; (* most recently used *)
   mutable tail : 'a node option; (* least recently used *)
-  mutable hits : int;
-  mutable misses : int;
 }
 
 let create ~capacity =
@@ -21,8 +19,6 @@ let create ~capacity =
     table = Hashtbl.create (2 * capacity);
     head = None;
     tail = None;
-    hits = 0;
-    misses = 0;
   }
 
 let capacity t = t.capacity
@@ -46,28 +42,13 @@ let push_front t node =
 
 let find t key =
   match Hashtbl.find_opt t.table key with
-  | None ->
-      t.misses <- t.misses + 1;
-      None
+  | None -> None
   | Some node ->
-      t.hits <- t.hits + 1;
       unlink t node;
       push_front t node;
       Some node.value
 
-let hits t = t.hits
-let misses t = t.misses
-let note_miss t = t.misses <- t.misses + 1
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0
-
 let mem t key = Hashtbl.mem t.table key
-
-let peek t key =
-  match Hashtbl.find_opt t.table key with
-  | None -> None
-  | Some node -> Some node.value
 
 let remove t key =
   match Hashtbl.find_opt t.table key with
@@ -104,9 +85,3 @@ let iter t f =
         go next
   in
   go t.head
-
-let clear t ~on_evict =
-  iter t on_evict;
-  Hashtbl.reset t.table;
-  t.head <- None;
-  t.tail <- None

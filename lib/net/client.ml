@@ -70,37 +70,11 @@ let transient = function
       true
   | _ -> false
 
-let sockaddr_of = function
-  | Server.Unix_path p -> Unix.ADDR_UNIX p
-  | Server.Tcp (host, port) ->
-      let ip =
-        try Unix.inet_addr_of_string host
-        with Failure _ -> (
-          match Unix.getaddrinfo host "" [ Unix.AI_FAMILY Unix.PF_INET ] with
-          | { Unix.ai_addr = Unix.ADDR_INET (a, _); _ } :: _ -> a
-          | _ -> raise (Unix.Unix_error (Unix.EINVAL, "getaddrinfo", host)))
-      in
-      Unix.ADDR_INET (ip, port)
-
 let connect_fd t =
   match t.fd with
   | Some fd -> fd
   | None ->
-      let addr = endpoint t in
-      let sa = sockaddr_of addr in
-      let dom =
-        match sa with Unix.ADDR_UNIX _ -> Unix.PF_UNIX | Unix.ADDR_INET _ -> Unix.PF_INET
-      in
-      let fd = Unix.socket dom Unix.SOCK_STREAM 0 in
-      (try
-         Unix.connect fd sa;
-         (match addr with
-         | Server.Tcp _ -> (
-             try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ())
-         | Server.Unix_path _ -> ())
-       with e ->
-         (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
-         raise e);
+      let fd = Server.dial (endpoint t) in
       t.fd <- Some fd;
       fd
 

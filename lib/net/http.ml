@@ -18,10 +18,7 @@ let max_request_bytes = 8192
 let header_deadline_s = 5.0
 
 let create ~handler sa =
-  let dom =
-    match sa with Unix.ADDR_UNIX _ -> Unix.PF_UNIX | Unix.ADDR_INET _ -> Unix.PF_INET
-  in
-  let lfd = Unix.socket dom Unix.SOCK_STREAM 0 in
+  let lfd = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
   (try
      (match sa with
      | Unix.ADDR_INET _ -> Unix.setsockopt lfd Unix.SO_REUSEADDR true

@@ -14,9 +14,9 @@
     - {!Gate}, a writer-preference reader/writer gate: served queries
       enter as readers, replicated applies (and wire writes) as the
       writer — so a replica's readers always observe a consistent
-      applied prefix, never a half-applied batch. Each apply bumps
-      [Segdb.generation], which invalidates the execution engine's
-      per-domain cached readers.
+      applied prefix, never a half-applied batch. The execution
+      engine's per-domain cached readers survive each apply: a block
+      it wrote is a miss in their shards.
     - {!tail}, the replica's subscription loop (its own domain): it
       connects upstream, subscribes from its applied LSN, applies
       pushed records via {!commit} under the gate, acknowledges,

@@ -44,6 +44,25 @@ let sockaddr_of = function
       in
       Unix.ADDR_INET (ip, port)
 
+let dial addr =
+  let sa = sockaddr_of addr in
+  let fd = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
+  (try
+     Unix.connect fd sa;
+     match addr with
+     | Tcp _ -> ( try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ())
+     | Unix_path _ -> ()
+   with e ->
+     (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
+     raise e);
+  fd
+
+(* a stale socket from a dead server; a live one fails at bind *)
+let unlink_stale = function
+  | Unix_path p when Sys.file_exists p && (Unix.stat p).Unix.st_kind = Unix.S_SOCK ->
+      Unix.unlink p
+  | _ -> ()
+
 (* ---------------- connections ---------------- *)
 
 (* A subscribed replica's cursor: the LSN up to which records have been
@@ -93,32 +112,11 @@ type t = {
   m_bytes_out : Metrics.counter;
 }
 
-let connector addr () =
-  let sa = sockaddr_of addr in
-  let dom =
-    match sa with Unix.ADDR_UNIX _ -> Unix.PF_UNIX | Unix.ADDR_INET _ -> Unix.PF_INET
-  in
-  let fd = Unix.socket dom Unix.SOCK_STREAM 0 in
-  (try
-     Unix.connect fd sa;
-     match addr with
-     | Tcp _ -> ( try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ())
-     | Unix_path _ -> ()
-   with e ->
-     (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
-     raise e);
-  fd
-
 let create ?(domains = 2) ?(queue_depth = 128) ?(deadline_ms = 5000) ?(idle_timeout_s = 0.)
     ?(health_stall_s = 3.0) ?epoch ?replica_of ~db addr =
   let sa = sockaddr_of addr in
-  (match addr with
-  | Unix_path p when Sys.file_exists p && (Unix.stat p).Unix.st_kind = Unix.S_SOCK ->
-      (* a stale socket from a dead server; a live one fails at bind *)
-      Unix.unlink p
-  | _ -> ());
-  let dom = match sa with Unix.ADDR_UNIX _ -> Unix.PF_UNIX | Unix.ADDR_INET _ -> Unix.PF_INET in
-  let lfd = Unix.socket dom Unix.SOCK_STREAM 0 in
+  unlink_stale addr;
+  let lfd = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
   (try
      (match addr with Tcp _ -> Unix.setsockopt lfd Unix.SO_REUSEADDR true | Unix_path _ -> ());
      Unix.bind lfd sa;
@@ -169,7 +167,7 @@ let create ?(domains = 2) ?(queue_depth = 128) ?(deadline_ms = 5000) ?(idle_time
   | Some upstream ->
       t.tail <-
         Some
-          (Replication.start_tail ~connect:(connector upstream) ~gate ~db ~stream:repl ()));
+          (Replication.start_tail ~connect:(fun () -> dial upstream) ~gate ~db ~stream:repl ()));
   t
 
 let bound_addr t = t.bound
@@ -302,10 +300,7 @@ let http_handler t path =
         body = Printf.sprintf "{\"error\":\"no such endpoint %s\"}\n" path }
 
 let serve_metrics t addr =
-  (match addr with
-  | Unix_path p when Sys.file_exists p && (Unix.stat p).Unix.st_kind = Unix.S_SOCK ->
-      Unix.unlink p
-  | _ -> ());
+  unlink_stale addr;
   let h = Http.create ~handler:(http_handler t) (sockaddr_of addr) in
   let bound =
     match (addr, Http.bound h) with

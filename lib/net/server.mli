@@ -46,9 +46,12 @@ val addr_of_string : string -> (addr, string) result
 val addr_to_string : addr -> string
 val pp_addr : Format.formatter -> addr -> unit
 
-val sockaddr_of : addr -> Unix.sockaddr
-(** Resolve to a connectable/bindable [Unix.sockaddr] (host names via
-    [getaddrinfo]; raises [Unix.Unix_error] on resolution failure). *)
+val dial : addr -> Unix.file_descr
+(** A stream socket connected to [addr] (host names resolved via
+    [getaddrinfo]), with [TCP_NODELAY] set on TCP. Raises
+    [Unix.Unix_error] on resolution or connection failure, leaving no
+    descriptor open. The one place this library opens a client
+    socket. *)
 
 type t
 
@@ -79,9 +82,10 @@ val create :
 
     [replica_of] starts the node as a {e replica} of the primary at
     that address: a background tail subscribes from the node's applied
-    LSN, applies pushed records behind the query gate (each apply
-    bumps [Segdb.generation], so worker readers rebuild), and catches
-    up by snapshot when it joins late or reconnects after a partition.
+    LSN, applies pushed records behind the query gate (worker readers
+    survive each apply and refetch only the blocks it wrote), and
+    catches up by snapshot when it joins late or reconnects after a
+    partition.
     A replica answers queries normally but refuses writes and
     subscriptions with [Not_primary] until a [Promote] frame turns it
     into a primary at a fenced epoch. [epoch] seeds the fencing epoch

@@ -167,33 +167,32 @@ module Store = Block_store.Make (struct
   type t = int
 end)
 
-(* The storage layer polls the installed handle on every block fetch:
-   under an expired deadline a scan stops within one poll stride
-   instead of walking the remaining blocks — unless the deadline is
-   disabled, as it is for a participant's immune first query. *)
+(* The storage layer polls the installed reader's deadline on every
+   block fetch: under an expired deadline a scan stops within one poll
+   stride instead of walking the remaining blocks — unless the deadline
+   is disarmed, as it is for a participant's immune first query. *)
 let test_cancel_stops_block_fetches () =
   let pool = Block_store.Pool.create ~capacity:2 in
-  let io = Io_stats.create () in
-  let s = Store.create ~pool ~stats:io () in
+  let s = Store.create ~pool ~stats:(Io_stats.create ()) () in
   let addrs = Array.init 100 (fun i -> Store.alloc s i) in
-  let scan h =
-    Cancel.install h (fun () ->
+  let r = Read_context.create () in
+  let scan () =
+    Read_context.with_reader r (fun () ->
         match Array.iter (fun a -> ignore (Store.read s a)) addrs with
         | () -> `Ran_to_completion
-        | exception Cancel.Expired -> `Stopped)
+        | exception Read_context.Expired -> `Stopped)
   in
-  let r0 = Io_stats.reads io in
-  Alcotest.(check bool) "scan was stopped" true
-    (scan (Cancel.create ~deadline_ns:1) = `Stopped);
-  let reads = Io_stats.reads io - r0 in
+  let io = Read_context.stats r in
+  Read_context.set_deadline r 1;
+  Alcotest.(check bool) "scan was stopped" true (scan () = `Stopped);
+  let reads = Io_stats.reads io in
   Alcotest.(check bool)
     (Printf.sprintf "reads stopped at %d of %d" reads (Array.length addrs))
     true
-    (reads < Cancel.poll_stride);
-  let immune = Cancel.create ~deadline_ns:1 in
-  Cancel.set_deadline_enabled immune false;
+    (reads < Read_context.poll_stride);
+  Read_context.arm r false;
   Alcotest.(check bool) "with the deadline disabled the scan runs through" true
-    (scan immune = `Ran_to_completion)
+    (scan () = `Ran_to_completion)
 
 (* A queued request has no cancel button; its deadline is what cuts
    it. One that runs out behind a slow blocker completes with no work

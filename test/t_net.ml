@@ -637,12 +637,10 @@ let test_cli_top_dead_socket () =
 (* ---------------- HTTP monitoring endpoints ---------------- *)
 
 let http_request addr raw =
-  let sa = Server.sockaddr_of addr in
-  let fd = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
+  let fd = Server.dial addr in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
-      Unix.connect fd sa;
       let n = String.length raw in
       let rec push off =
         if off < n then push (off + Unix.write_substring fd raw off (n - off))

@@ -4,7 +4,6 @@
 
 open Segdb_obs
 module Io_stats = Segdb_io.Io_stats
-module Lru = Segdb_io.Lru
 module W = Segdb_workload.Workload
 module Rng = Segdb_util.Rng
 module Vs = Segdb_core.Vs_index
@@ -549,19 +548,49 @@ let test_slowlog_rendering () =
 
 (* ---------------- LRU / reader cache stats ---------------- *)
 
+module Int_store = Segdb_io.Block_store.Make (struct
+  type t = int
+end)
+
+(* A reader's LRU shard counts its own hits and misses, mirrored in the
+   [cache.hits] and [cache.misses] counters. An entry cached before its
+   store's last write is a miss, not a hit, and is charged a read only
+   once its block has left the shared pool. *)
 let test_lru_hit_miss () =
-  let l = Lru.create ~capacity:2 in
-  Alcotest.(check bool) "miss on empty" true (Lru.find l 1 = None);
-  Lru.put l 1 "a" ~on_evict:(fun _ _ -> ());
-  ignore (Lru.find l 1);
-  ignore (Lru.peek l 2);
-  (* peek never counts *)
-  Lru.note_miss l;
-  Alcotest.(check int) "hits" 1 (Lru.hits l);
-  Alcotest.(check int) "misses" 2 (Lru.misses l);
-  Lru.reset_stats l;
-  Alcotest.(check int) "reset hits" 0 (Lru.hits l);
-  Alcotest.(check int) "reset misses" 0 (Lru.misses l)
+  let module Rc = Segdb_io.Read_context in
+  let pool = Segdb_io.Block_store.Pool.create ~capacity:1 in
+  let s = Int_store.create ~pool ~stats:(Io_stats.create ()) () in
+  let a = Int_store.alloc s 1 in
+  (* the one-block pool sends [a] to disk *)
+  let b = Int_store.alloc s 2 in
+  let r = Rc.create () in
+  let c_hits = Metrics.counter Metrics.default "cache.hits"
+  and c_misses = Metrics.counter Metrics.default "cache.misses" in
+  Fun.protect ~finally:Control.disable @@ fun () ->
+  Control.enable ();
+  let step label addr ~value ~hit ~reads =
+    let h0 = Rc.cache_hits r and m0 = Rc.cache_misses r in
+    let ch0 = Metrics.value c_hits and cm0 = Metrics.value c_misses in
+    let r0 = Io_stats.reads (Rc.stats r) in
+    let got = Rc.with_reader r (fun () -> Int_store.read s addr) in
+    let hits = if hit then 1 else 0 in
+    Alcotest.(check int) (label ^ ": value") value got;
+    Alcotest.(check (pair int int)) (label ^ ": reader hits, misses") (hits, 1 - hits)
+      (Rc.cache_hits r - h0, Rc.cache_misses r - m0);
+    Alcotest.(check (pair int int)) (label ^ ": cache.hits, cache.misses") (hits, 1 - hits)
+      (Metrics.value c_hits - ch0, Metrics.value c_misses - cm0);
+    Alcotest.(check int) (label ^ ": reads charged") reads (Io_stats.reads (Rc.stats r) - r0)
+  in
+  step "cold, on disk" a ~value:1 ~hit:false ~reads:1;
+  step "cold, in the pool" b ~value:2 ~hit:false ~reads:0;
+  step "warm" a ~value:1 ~hit:true ~reads:0;
+  Int_store.write s b 20;
+  step "stale, still in the pool" b ~value:20 ~hit:false ~reads:0;
+  step "refetched" b ~value:20 ~hit:true ~reads:0;
+  (* the write brings [a] back into the pool and sends [b] to disk *)
+  Int_store.write s a 10;
+  step "stale, left the pool" b ~value:20 ~hit:false ~reads:1;
+  step "stale, back in the pool" a ~value:10 ~hit:false ~reads:0
 
 let test_reader_cache_stats () =
   let n = 60 in

@@ -152,6 +152,49 @@ let test_parallel_after_mutation () =
     (fun i got -> Alcotest.(check (list int)) (Printf.sprintf "query %d" i) serial.(i) got)
     par
 
+(* ---------------- readers across writes ---------------- *)
+
+(* A reader outlives writes: a block cached before its store's last
+   write or free is refetched. After every random insert or delete, one
+   long-lived reader and a submit on a one-worker pool (whose worker
+   keeps its cached reader across requests) answer every query exactly
+   as [Db.query_ids] does. *)
+let prop_reader_survives_writes =
+  QCheck.Test.make ~name:"a long-lived reader survives writes" ~count:30 scenario
+    (fun (seed, n, block, fam) ->
+      let rng = Rng.create seed in
+      let segs = (List.assoc fam families) (Rng.split rng) (n + 16) in
+      let n0 = Array.length segs / 2 in
+      let queries = Array.init 8 (fun _ -> random_query rng segs) in
+      let pool = Exec.create ~workers:1 () in
+      Fun.protect ~finally:(fun () -> Exec.shutdown pool) @@ fun () ->
+      List.for_all
+        (fun backend ->
+          let db = Db.create ~backend ~block ~pool_blocks:8 (Array.sub segs 0 n0) in
+          let r = Db.reader db in
+          let agree () =
+            let serial = Array.map (Db.query_ids db) queries in
+            Array.map (Db.query_ids_r db r) queries = serial
+            && Exec.await (Exec.submit pool db (Exec.request queries)) = Exec.Ok serial
+          in
+          let live = ref (Array.to_list (Array.sub segs 0 n0)) in
+          let spare = ref (Array.to_list (Array.sub segs n0 (Array.length segs - n0))) in
+          let write () =
+            match !spare with
+            | s :: rest when Rng.bool rng || !live = [] ->
+                spare := rest;
+                live := s :: !live;
+                Db.insert db s
+            | _ when !live <> [] ->
+                let s = List.nth !live (Rng.int rng (List.length !live)) in
+                live := List.filter (fun (c : Segment.t) -> c.id <> s.Segment.id) !live;
+                ignore (Db.delete db s)
+            | _ -> ()
+          in
+          let rec steps k = k = 0 || (write (); agree () && steps (k - 1)) in
+          agree () && steps 12)
+        [ `Solution2; `Naive ])
+
 (* ---------------- writer guard ---------------- *)
 
 module Store = Block_store.Make (struct
@@ -221,6 +264,7 @@ let suite =
       qtest prop_queries_leave_no_trace;
       Alcotest.test_case "parallel_query matches serial" `Quick test_parallel_matches_serial;
       Alcotest.test_case "parallel_query after mutation" `Quick test_parallel_after_mutation;
+      qtest prop_reader_survives_writes;
       Alcotest.test_case "store mutation under reader raises" `Quick
         test_mutation_under_reader_raises;
       Alcotest.test_case "db mutation under reader raises" `Quick
