@@ -64,7 +64,13 @@ let run_round ~seed ~ops ~size round =
   in
   let n0 = Array.length pool_segs / 2 in
   let initial = Array.sub pool_segs 0 n0 in
-  let spare = ref (Array.to_list (Array.sub pool_segs n0 (Array.length pool_segs - n0))) in
+  (* inserts draw from the spare pool in generation order, x1 order or
+     reversed x1 order: the ordered streams the weight rule must absorb *)
+  let spare =
+    let rest = Array.to_list (Array.sub pool_segs n0 (Array.length pool_segs - n0)) in
+    let by_x1 = List.stable_sort (fun (a : Segment.t) (b : Segment.t) -> compare a.x1 b.x1) in
+    ref (match Rng.int rng 3 with 0 -> rest | 1 -> by_x1 rest | _ -> List.rev (by_x1 rest))
+  in
   let model = Model.create () in
   Array.iter (Model.insert model) initial;
   let instances =

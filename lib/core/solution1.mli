@@ -20,8 +20,8 @@
 
     This is Solution 2's tree at fan-out 2: one boundary per node, so
     no segment crosses two and [G] stays empty. Updates follow the
-    paper's BB[alpha] discipline: a kid holding more than 3/4 of its
-    parent's weight is rebuilt. Storage O(n), query
+    paper's BB[alpha] discipline through {!Segdb_util.Balance.heavy}.
+    Storage O(n), query
     O(log n (log_B n + IL*(B)) + t), amortized logarithmic insertion —
     with our blocked PST standing in for the P-range tree (DESIGN.md). *)
 

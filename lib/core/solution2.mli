@@ -18,9 +18,9 @@
     line. Storage O(n log2 B) from the [G] multiplicity; query
     O(log_B n (log_B n + log2 B + IL*(B)) + t); insertions are
     semi-dynamic per the paper, via PST push-down, [C_i]/[G] doubling
-    rebuilds and first-level rebuilds of a kid above [4/(b+1)] of its
-    parent's weight (DESIGN.md lists the substitutions). Solution 1 is
-    the same tree at fan-out 2. *)
+    rebuilds and first-level rebuilds of a node with a heavy kid
+    ({!Segdb_util.Balance.heavy}; DESIGN.md lists the substitutions).
+    Solution 1 is the same tree at fan-out 2. *)
 
 include Vs_index.S
 

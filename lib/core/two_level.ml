@@ -8,7 +8,6 @@ module type SHAPE = sig
   val name : string
   val tag : string
   val fanout : block:int -> int
-  val kid_share : fanout:int -> int * int
 end
 
 (* first boundary index >= x, or length if none *)
@@ -84,7 +83,6 @@ module Make (S : SHAPE) = struct
     store : Store.t;
     cfg : Vs_index.config;
     fanout : int; (* the paper's b *)
-    share : int * int; (* (p, q): rebuild a kid above p/q of its parent's weight *)
     by_id : (int, Segment.t) Hashtbl.t;
         (* materialization table: fragments carry ids; a real system would
            store the full segment as the fragment's payload, so lookups
@@ -167,13 +165,11 @@ module Make (S : SHAPE) = struct
 
   let build (cfg : Vs_index.config) segs =
     let store = Store.create ~name:S.tag ~pool:cfg.pool ~stats:cfg.stats () in
-    let fanout = S.fanout ~block:cfg.block in
     let t =
       {
         store;
         cfg;
-        fanout;
-        share = S.kid_share ~fanout;
+        fanout = S.fanout ~block:cfg.block;
         by_id = Hashtbl.create 1024;
         root = Block_store.null;
         size = 0;
@@ -244,19 +240,11 @@ module Make (S : SHAPE) = struct
     if addr = Block_store.null then 0
     else match Store.read t.store addr with Leaf s -> Array.length s | Node n -> n.size
 
-  (* BB[alpha]-style scapegoat criterion, as in the PSTs. *)
-  let needs_rebuild t ~child_size ~subtree_size =
-    let p, q = t.share in
-    subtree_size > 4 * t.cfg.block && q * (child_size + 1) > p * (subtree_size + 1)
-
-  let rec collect t addr seen acc =
+  (* Every segment is stored once: in a leaf, in a [C_i], or in the [L_i]
+     of its first crossed boundary. *)
+  let rec collect t addr acc =
     if addr <> Block_store.null then begin
-      let add (s : Segment.t) =
-        if not (Hashtbl.mem seen s.id) then begin
-          Hashtbl.add seen s.id ();
-          acc := s :: !acc
-        end
-      in
+      let add s = acc := s :: !acc in
       let add_id id = add (Hashtbl.find t.by_id id) in
       (match Store.read t.store addr with
       | Leaf segs -> Array.iter add segs
@@ -266,17 +254,20 @@ module Make (S : SHAPE) = struct
             n.cs;
           Array.iter (fun p -> Pst.iter p (fun ls -> add_id ls.Lseg.id)) n.ls;
           (* rs mirror ls; G fragments come from the same segments *)
-          Array.iter (fun kid -> collect t kid seen acc) n.kids);
+          Array.iter (fun kid -> collect t kid acc) n.kids);
       Store.free t.store addr
     end
 
   let rebuild_subtree t addr =
     let acc = ref [] in
-    collect t addr (Hashtbl.create 64) acc;
+    collect t addr acc;
     build_node t (Array.of_list !acc)
 
+  (* The tree grows only through [build_node]: an absent kid becomes a
+     leaf, an overfull leaf is rebuilt, and so is a node with a heavy kid
+     ({!Segdb_util.Balance.heavy}). *)
   let rec insert_rec t addr (s : Segment.t) : Block_store.addr =
-    if addr = Block_store.null then Store.alloc t.store (Leaf [| s |])
+    if addr = Block_store.null then build_node t [| s |]
     else
       match Store.read t.store addr with
       | Leaf segs ->
@@ -313,15 +304,14 @@ module Make (S : SHAPE) = struct
               | None ->
                   let k = slab_of n.boundaries s.x1 in
                   let kid = insert_rec t n.kids.(k) s in
-                  let kid =
-                    if needs_rebuild t ~child_size:(node_size t kid) ~subtree_size:(n.size + 1)
-                    then rebuild_subtree t kid
-                    else kid
-                  in
                   let kids = Array.copy n.kids in
                   kids.(k) <- kid;
                   Store.write t.store addr (Node { n with kids; size = n.size + 1 });
-                  addr))
+                  if
+                    Segdb_util.Balance.heavy ~fanout:(Array.length kids) ~block:t.cfg.block
+                      ~child:(node_size t kid) ~parent:(n.size + 1)
+                  then rebuild_subtree t addr
+                  else addr))
 
   let insert t s =
     if Hashtbl.mem t.by_id s.Segment.id then invalid_arg (name ^ ".insert: duplicate id");

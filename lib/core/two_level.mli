@@ -20,9 +20,10 @@
     At fan-out 2 a node has one boundary, no segment crosses two
     boundaries and [G] is empty: the node is Solution 1's [bl(v)],
     [C(v)], [L(v)] and [R(v)] with two kids. Solution 2 widens it to
-    [b = B/4]. Updates are local, plus scapegoat rebuilds of a kid that
-    grows too heavy ({!SHAPE.kid_share}) and a global rebuild once the
-    deletions since the last one outnumber the live segments plus [B]. *)
+    [b = B/4]. Updates are local, plus a rebuild of a node whose kid
+    grows too heavy ({!Segdb_util.Balance.heavy}) and a global rebuild
+    once the deletions since the last one outnumber the live segments
+    plus [B]. *)
 
 (** The constants that make one backend out of the tree. *)
 module type SHAPE = sig
@@ -34,10 +35,6 @@ module type SHAPE = sig
 
   val fanout : block:int -> int
   (** Slabs per node for block size [B]: at least 2. *)
-
-  val kid_share : fanout:int -> int * int
-  (** [(p, q)]: after an insert below a node of weight [w > 4B], a kid
-      of weight [k] with [q (k + 1) > p (w + 1)] is rebuilt. *)
 end
 
 module Make (_ : SHAPE) : sig

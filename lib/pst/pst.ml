@@ -382,18 +382,6 @@ let route splits (s : Lseg.t) =
   let rec go i = if i >= k then k else if Lseg.compare_key s splits.(i) < 0 then i else go (i + 1) in
   go 0
 
-(* Turn a full leaf into an internal node: separators are quantiles of
-   its current keys, children start absent. *)
-let allocate_children t (n : node) =
-  let f = t.branching in
-  let m = Array.length n.segs in
-  let splits =
-    Array.init (f - 1) (fun i ->
-        let b = (i + 1) * m / f in
-        if b < m then n.segs.(b) else max_sentinel)
-  in
-  { n with splits; children = Array.make f no_child }
-
 let rec collect_sub t (c : child) acc =
   if c.addr <> Block_store.null then begin
     let n = Store.read t.store c.addr in
@@ -409,75 +397,62 @@ let rebuild_sub t (c : child) =
   Array.sort Lseg.compare_key arr;
   build_sub t arr
 
-(* Scapegoat criterion: rebuild a child that outgrew its fair share of
-   the subtree. Binary follows BB[alpha] with alpha = 3/4; wider nodes
-   allow 4x the ideal share so that skewed streams do not thrash. The
-   fan-out must be the node's actual one — static builds cap it below
-   [t.branching] for small subtrees. *)
-let needs_rebuild t ~fanout ~child_size ~subtree_size =
-  subtree_size > 4 * t.cap
-  &&
-  if fanout <= 2 then 4 * (child_size + 1) > 3 * (subtree_size + 1)
-  else fanout * (child_size + 1) > 4 * (subtree_size + 1)
-
-let fresh_leaf t (s : Lseg.t) =
-  let addr = Store.alloc t.store { segs = [| s |]; splits = [||]; children = [||] } in
-  { addr; top = s.far_u; kmin = s; kmax = s; csize = 1 }
-
+(* The tree grows only through [build_sub]: an absent subtree becomes a
+   one-segment leaf, a full leaf is rebuilt over its segments plus the
+   new one, and a node with a heavy child is rebuilt whole
+   ({!Segdb_util.Balance.heavy}). *)
 let rec insert_sub t (c : child) (s : Lseg.t) : child =
-  let n = Store.read t.store c.addr in
-  let c =
-    {
-      c with
-      top = Float.max c.top s.Lseg.far_u;
-      kmin = key_min c.kmin s;
-      kmax = key_max c.kmax s;
-      csize = c.csize + 1;
-    }
-  in
-  let max_child_top =
-    Array.fold_left (fun acc ch -> Float.max acc ch.top) neg_infinity n.children
-  in
-  if Array.length n.segs < t.cap && (Array.length n.children = 0 || s.Lseg.far_u >= max_child_top)
-  then begin
-    Store.write t.store c.addr { n with segs = sorted_insert n.segs s };
-    c
-  end
-  else begin
-    let n = if Array.length n.children = 0 then allocate_children t n else n in
-    (* Keep the block holding the subtree's deepest segments: if [s] is
-       deeper than the shallowest resident, it takes that slot and the
-       evicted segment sinks instead. *)
-    let sink, n =
-      let i = argmin_far_u n.segs in
-      if Lseg.compare_far_u s n.segs.(i) > 0 then begin
-        let evicted = n.segs.(i) in
-        (evicted, { n with segs = sorted_insert (array_remove n.segs i) s })
+  if c.addr = Block_store.null then build_sub t [| s |]
+  else
+    let n = Store.read t.store c.addr in
+    if Array.length n.children = 0 && Array.length n.segs >= t.cap then begin
+      Store.free t.store c.addr;
+      build_sub t (sorted_insert n.segs s)
+    end
+    else begin
+      let c =
+        {
+          c with
+          top = Float.max c.top s.Lseg.far_u;
+          kmin = key_min c.kmin s;
+          kmax = key_max c.kmax s;
+          csize = c.csize + 1;
+        }
+      in
+      let max_child_top =
+        Array.fold_left (fun acc ch -> Float.max acc ch.top) neg_infinity n.children
+      in
+      if Array.length n.segs < t.cap && (Array.length n.children = 0 || s.Lseg.far_u >= max_child_top)
+      then begin
+        Store.write t.store c.addr { n with segs = sorted_insert n.segs s };
+        c
       end
-      else (s, n)
-    in
-    let slot = route n.splits sink in
-    let updated =
-      if n.children.(slot).addr = Block_store.null then fresh_leaf t sink
-      else insert_sub t n.children.(slot) sink
-    in
-    let children = Array.copy n.children in
-    children.(slot) <- updated;
-    Store.write t.store c.addr { n with children };
-    (* Scapegoat: when one child outgrows its share, the *partition* of
-       this subtree is stale — rebuild the whole subtree so quantile
-       splits are recomputed. Rebuilding only the child would leave the
-       violation in place and thrash. *)
-    if
-      needs_rebuild t ~fanout:(Array.length n.children) ~child_size:updated.csize
-        ~subtree_size:c.csize
-    then rebuild_sub t c
-    else c
-  end
+      else begin
+        (* Keep the block holding the subtree's deepest segments: if [s] is
+           deeper than the shallowest resident, it takes that slot and the
+           evicted segment sinks instead. *)
+        let sink, n =
+          let i = argmin_far_u n.segs in
+          if Lseg.compare_far_u s n.segs.(i) > 0 then begin
+            let evicted = n.segs.(i) in
+            (evicted, { n with segs = sorted_insert (array_remove n.segs i) s })
+          end
+          else (s, n)
+        in
+        let slot = route n.splits sink in
+        let updated = insert_sub t n.children.(slot) sink in
+        let children = Array.copy n.children in
+        children.(slot) <- updated;
+        Store.write t.store c.addr { n with children };
+        if
+          Segdb_util.Balance.heavy ~fanout:(Array.length children) ~block:t.cap
+            ~child:updated.csize ~parent:c.csize
+        then rebuild_sub t c
+        else c
+      end
+    end
 
-let insert t s =
-  if t.root.addr = Block_store.null then t.root <- fresh_leaf t s
-  else t.root <- insert_sub t t.root s
+let insert t s = t.root <- insert_sub t t.root s
 
 (* ---------------- invariants ---------------- *)
 

@@ -29,9 +29,9 @@ open Segdb_geom
     separately as {!find_leftmost} / {!find_rightmost}.
 
     Insertions follow the paper's semi-dynamic regime: heap push-down
-    along the search path plus scapegoat-style weight-balanced subtree
-    rebuilds (the BB[alpha] substitute), giving amortized logarithmic
-    cost. *)
+    along the search path, and the bulk builder rebuilds a full leaf and
+    any node whose child grows too heavy ({!Segdb_util.Balance.heavy},
+    the BB[alpha] substitute), giving amortized logarithmic cost. *)
 
 type t
 
