@@ -559,7 +559,16 @@ let run_net_round ~seed ~ops ~size round =
         let y = Rng.float rng 200.0 in
         Vquery.segment ~x ~ylo:y ~yhi:(y +. Rng.float rng 60.0)
   in
+  let check_batch qs =
+    let expected = Array.map (fun q -> List.sort compare (Db.query_ids db q)) qs in
+    let got = Net_client.batch c qs in
+    if got.Db.Degraded.value <> expected then
+      fail "remote batch of %d diverged from the in-process answers" (Array.length qs)
+  in
   let bursts = max 1 (ops / 10) in
+  (* one burst also sends a batch whose frame is larger than the
+     server's 64 KiB receive buffer (24 bytes a query) *)
+  let big_burst = 1 + Rng.int rng bursts in
   for burst = 1 to bursts do
     let plans =
       List.filter_map
@@ -570,6 +579,8 @@ let run_net_round ~seed ~ops ~size round =
         [ "net.read"; "net.write" ]
     in
     Failpoint.arm ~seed:(seed + burst) plans;
+    if burst = big_burst then
+      check_batch (Array.init (2_800 + Rng.int rng 1_000) (fun _ -> random_query ()));
     for _ = 1 to 5 do
       match Rng.int rng 3 with
       | 0 ->
@@ -592,13 +603,7 @@ let run_net_round ~seed ~ops ~size round =
           if got <> expected then
             fail "remote count %d vs %d on %s" got expected
               (Format.asprintf "%a" Vquery.pp q)
-      | _ ->
-          let qs = Array.init (1 + Rng.int rng 8) (fun _ -> random_query ()) in
-          let expected = Array.map (fun q -> List.sort compare (Db.query_ids db q)) qs in
-          let got = Net_client.batch c qs in
-          if got.Db.Degraded.value <> expected then
-            fail "remote batch of %d diverged from the in-process answers"
-              (Array.length qs)
+      | _ -> check_batch (Array.init (1 + Rng.int rng 8) (fun _ -> random_query ()))
     done;
     Failpoint.disarm ()
   done;

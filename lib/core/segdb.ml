@@ -17,6 +17,9 @@ type t = {
          on the backend (naive/rtree accept duplicates, solution1/2
          refuse them), or replayed and retried records would
          double-apply on some backends only *)
+  query_span : string;
+      (* the root span's phase, built once: a trace ring keeps a
+         pointer to it, and a fresh string per query would be promoted *)
 }
 
 let seed_ids segs =
@@ -31,10 +34,17 @@ let build_pack (cfg : Vs_index.config) backend segs =
   | `Solution1 -> Pack ((module Solution1), Solution1.build cfg segs)
   | `Solution2 | `Solution2_nofc -> Pack ((module Solution2), Solution2.build cfg segs)
 
+let name_of cfg (Pack ((module M), _)) =
+  if M.name = "solution2" && not cfg.Vs_index.cascade then "solution2-nofc" else M.name
+
+let make cfg backend pack segs =
+  let query_span = "query." ^ name_of cfg pack in
+  { cfg; backend; pack; wal = None; ids = seed_ids segs; query_span }
+
 let create ?(backend = `Solution2) ?(block = 64) ?(pool_blocks = 64) segs =
   let cascade = backend <> `Solution2_nofc in
   let cfg = Vs_index.config ~pool_blocks ~block ~cascade () in
-  { cfg; backend; pack = build_pack cfg backend segs; wal = None; ids = seed_ids segs }
+  make cfg backend (build_pack cfg backend segs) segs
 
 let of_segments ?backend ?block ?pool_blocks polylines =
   let acc = ref [] in
@@ -125,11 +135,7 @@ let commit t op =
 
 (* ---------------- queries ---------------- *)
 
-(* forward declaration lives below; the root span needs the resolved
-   backend name, which depends on [t.cfg] *)
-let backend_name t =
-  let (Pack ((module M), _)) = t.pack in
-  if M.name = "solution2" && not t.cfg.Vs_index.cascade then "solution2-nofc" else M.name
+let backend_name t = name_of t.cfg t.pack
 
 (* The query path's own fault site: index blocks live in memory, so
    queries have no syscalls of their own to inject into — this gives
@@ -147,7 +153,7 @@ let query_iter t q ~f =
   fire_query ();
   let (Pack ((module M), v)) = t.pack in
   if Segdb_obs.Control.enabled () then
-    Probe.span t.cfg.stats ("query." ^ backend_name t) (fun () -> M.query v q ~f)
+    Probe.span t.cfg.stats t.query_span (fun () -> M.query v q ~f)
   else M.query v q ~f
 
 let query t q =
@@ -286,8 +292,7 @@ let open_db_mode ?(use_image = true) path =
              the executable that wrote it — hence the digest guard *)
           try
             let cfg, pack = (Marshal.from_string img 0 : Vs_index.config * pack) in
-            Some
-              { cfg; backend; pack; wal = None; ids = seed_ids c.segments }
+            Some (make cfg backend pack c.segments)
           with Failure _ -> None)
       | _ -> None
   in

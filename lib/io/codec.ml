@@ -14,11 +14,16 @@ module W = struct
 end
 
 module R = struct
-  type t = { data : string; mutable pos : int }
+  type t = { data : string; mutable pos : int; stop : int }
 
-  let of_string ?(pos = 0) data = { data; pos }
+  let of_string ?(pos = 0) ?len data =
+    let stop = match len with Some n -> pos + n | None -> String.length data in
+    if pos < 0 || pos > stop || stop > String.length data then
+      invalid_arg "Codec.R.of_string: range out of bounds";
+    { data; pos; stop }
+
   let pos r = r.pos
-  let remaining r = String.length r.data - r.pos
+  let remaining r = r.stop - r.pos
 
   let need r n =
     if remaining r < n then
@@ -117,7 +122,10 @@ let array a =
 let list a =
   let arr = array a in
   {
-    write = (fun buf v -> arr.write buf (Array.of_list v));
+    write =
+      (fun buf v ->
+        W.u32 buf (List.length v);
+        List.iter (a.write buf) v);
     read = (fun r -> Array.to_list (arr.read r));
   }
 

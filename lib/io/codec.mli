@@ -30,7 +30,11 @@ end
 module R : sig
   type t
 
-  val of_string : ?pos:int -> string -> t
+  val of_string : ?pos:int -> ?len:int -> string -> t
+  (** A reader over [len] bytes from [pos] (default: the rest of the
+      string). Raises [Invalid_argument] when the range is not inside
+      the string. *)
+
   val pos : t -> int
   val remaining : t -> int
   val u8 : t -> int

@@ -1,10 +1,11 @@
 (** Bounded LRU map over integer keys, used as the buffer pool of
     {!Block_store} and as each {!Read_context}'s shard.
 
-    Operations are O(1): a hash table maps keys to doubly-linked-list
-    nodes ordered by recency. On overflow the least-recently-used binding
-    is evicted and handed to the caller's callback (which write-back
-    logic hooks into). *)
+    Operations are O(1): a hash table maps keys to slots, and a
+    doubly-linked recency list runs through int arrays of slot indexes,
+    so a touch stores only ints. On overflow the least-recently-used
+    binding is evicted and handed to the caller's callback (which
+    write-back logic hooks into). *)
 
 type 'a t
 

@@ -1,11 +1,12 @@
 module Failpoint = Segdb_io.Failpoint
 module Log = Segdb_obs.Log
+module Trace = Segdb_obs.Trace
 
 type response = { status : int; content_type : string; body : string }
 
 (* One in-flight request: bytes received so far, and when it started —
    a peer that never finishes its headers is reaped, not waited on. *)
-type hconn = { fd : Unix.file_descr; mutable buf : string; started : float }
+type hconn = { fd : Unix.file_descr; mutable buf : string; started_ns : int }
 
 type t = {
   lfd : Unix.file_descr;
@@ -15,7 +16,7 @@ type t = {
 }
 
 let max_request_bytes = 8192
-let header_deadline_s = 5.0
+let header_deadline_ns = 5_000_000_000
 
 let create ~handler sa =
   let lfd = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
@@ -133,7 +134,7 @@ let read_conn t c =
 let accept t =
   match Unix.accept t.lfd with
   | exception Unix.Unix_error (_, _, _) -> ()
-  | fd, _ -> t.conns <- { fd; buf = ""; started = Unix.gettimeofday () } :: t.conns
+  | fd, _ -> t.conns <- { fd; buf = ""; started_ns = Trace.now_ns () } :: t.conns
 
 let handle t fd =
   if fd = t.lfd then accept t
@@ -143,8 +144,8 @@ let handle t fd =
     | None -> ()
 
 let reap t =
-  let now = Unix.gettimeofday () in
-  let stale = List.filter (fun c -> now -. c.started > header_deadline_s) t.conns in
+  let now = Trace.now_ns () in
+  let stale = List.filter (fun c -> now - c.started_ns > header_deadline_ns) t.conns in
   List.iter (close_conn t) stale
 
 let close t =

@@ -2,6 +2,7 @@ module Db = Segdb_core.Segdb
 module Metrics = Segdb_obs.Metrics
 module Control = Segdb_obs.Control
 module Log = Segdb_obs.Log
+module Trace = Segdb_obs.Trace
 open Segdb_geom
 
 type role = Primary | Replica
@@ -64,10 +65,11 @@ type t = {
   mutable len : int;
   mutable acks_ : (string * int) list;
   max_tail : int;
-  mutable progress_at : float;
-      (** wall clock of the last sign of replication life: a commit, an
-          ack, a resync, or (on a replica) any decoded upstream frame —
-          what health probes measure staleness against *)
+  mutable progress_ns : int;
+      (** [Trace.now_ns] of the last sign of replication life: a
+          commit, an ack, a resync, or (on a replica) any decoded
+          upstream frame — what health probes measure staleness
+          against *)
 }
 
 let create ?role ?epoch ?(max_tail = 8192) () =
@@ -79,7 +81,7 @@ let create ?role ?epoch ?(max_tail = 8192) () =
   in
   { m = Mutex.create (); role_; epoch_; base = 0; buf = Array.make 64 "";
     len = 0; acks_ = []; max_tail = max 16 max_tail;
-    progress_at = Unix.gettimeofday () }
+    progress_ns = Trace.now_ns () }
 
 let locked t f =
   Mutex.lock t.m;
@@ -90,14 +92,13 @@ let epoch t = locked t (fun () -> t.epoch_)
 let lsn t = locked t (fun () -> t.base + t.len)
 let base_lsn t = locked t (fun () -> t.base)
 
-let touch_progress t = locked t (fun () -> t.progress_at <- Unix.gettimeofday ())
-
-let seconds_since_progress t =
-  locked t (fun () -> Float.max 0. (Unix.gettimeofday () -. t.progress_at))
+let touch_progress t = locked t (fun () -> t.progress_ns <- Trace.now_ns ())
+let ns_since_progress t = max 0 (Trace.now_ns () - t.progress_ns)
+let seconds_since_progress t = locked t (fun () -> float_of_int (ns_since_progress t) /. 1e9)
 
 let append t record =
   locked t @@ fun () ->
-  t.progress_at <- Unix.gettimeofday ();
+  t.progress_ns <- Trace.now_ns ();
   if t.len = Array.length t.buf then
     if t.len >= t.max_tail then begin
       (* drop the oldest half: a subscriber that far behind resyncs by
@@ -126,7 +127,7 @@ let reset_to t ~lsn =
   Array.fill t.buf 0 t.len "";
   t.base <- lsn;
   t.len <- 0;
-  t.progress_at <- Unix.gettimeofday ()
+  t.progress_ns <- Trace.now_ns ()
 
 let set_epoch t e = locked t (fun () -> if e > t.epoch_ then t.epoch_ <- e)
 
@@ -143,7 +144,7 @@ let promote t ?(epoch = 0) () =
 
 let ack t ~peer lsn =
   locked t @@ fun () ->
-  t.progress_at <- Unix.gettimeofday ();
+  t.progress_ns <- Trace.now_ns ();
   t.acks_ <- (peer, lsn) :: List.remove_assoc peer t.acks_
 
 let acks t = locked t (fun () -> List.rev t.acks_)
@@ -157,8 +158,7 @@ let status t =
     Wire.role = role_name t.role_;
     epoch = t.epoch_;
     lsn = t.base + t.len;
-    progress_ms =
-      int_of_float (Float.max 0. (Unix.gettimeofday () -. t.progress_at) *. 1e3);
+    progress_ms = ns_since_progress t / 1_000_000;
     peers =
       List.rev_map
         (fun (peer, acked) -> { Wire.peer; acked_lsn = acked; sent_lsn = acked })
@@ -243,17 +243,17 @@ let session ~gate ~db ~stream ~stop fd =
      indefinitely (a run of zero bytes even passes the CRC as an empty
      frame). Any frame that decodes counts as progress; starving the
      deadline abandons the connection and resubscribes from our lsn. *)
-  let progress_deadline_s = 2.0 in
-  let last_progress = ref (Unix.gettimeofday ()) in
+  let progress_deadline_ns = 2_000_000_000 in
+  let last_progress = ref (Trace.now_ns ()) in
   let progress () =
-    last_progress := Unix.gettimeofday ();
+    last_progress := Trace.now_ns ();
     (* surface liveness on the stream too: the health endpoint calls a
        replica stalled when [seconds_since_progress] starves, and a
        healthy idle link refreshes it through the status probes below *)
     touch_progress stream
   in
   while (not (Atomic.get stop)) && role stream = Replica && !continue do
-    if Unix.gettimeofday () -. !last_progress > progress_deadline_s then begin
+    if Trace.now_ns () - !last_progress > progress_deadline_ns then begin
       Log.warn ~comp:"repl" "no upstream progress; reconnecting" (fun () ->
           [ Log.i "lsn" (lsn stream) ]);
       continue := false

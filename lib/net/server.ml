@@ -73,11 +73,12 @@ type sub = { mutable sent_lsn : int }
 type conn = {
   fd : Unix.file_descr;
   peer : string;
-  mutable inbuf : string;  (** bytes received, not yet framed *)
+  inbox : Wire.Inbox.t;  (** bytes received, not yet framed (accept loop only) *)
+  outbox : Wire.Outbox.t;  (** the response buffers, used under [wlock] *)
   wlock : Mutex.t;  (** serializes frame writes (pool workers + accept loop) *)
   pending : int Atomic.t;  (** submitted requests still owing a response *)
   closing : bool Atomic.t;  (** reaped by the accept loop once [pending] drains *)
-  mutable last_active : float;  (** last read, for idle reaping *)
+  mutable last_active : int;  (** [Trace.now_ns] of the last read, for idle reaping *)
   mutable sub : sub option;  (** a subscribed replica (exempt from reaping) *)
 }
 
@@ -181,22 +182,19 @@ let kill t =
 
 (* ---------------- responses ---------------- *)
 
-(* A failed write means the peer is gone: mark the connection for
-   reaping rather than raising into whoever answered. *)
+(* Encoded and written under the connection's lock, from its reused
+   buffers. A failed write means the peer is gone: mark the connection
+   for reaping rather than raising into whoever answered. *)
 let respond t conn resp =
-  let s = Wire.encode_response resp in
-  Mutex.lock conn.wlock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock conn.wlock)
-    (fun () ->
-      let t0 = if Control.enabled () then Trace.now_ns () else 0 in
-      match Wire.send conn.fd s with
-      | () ->
-          if t0 <> 0 then begin
-            Metrics.add t.m_bytes_out (String.length s);
-            Metrics.observe Metrics.default "net.write.ns" (Trace.now_ns () - t0)
-          end
-      | exception Unix.Unix_error (_, _, _) -> Atomic.set conn.closing true)
+  Mutex.protect conn.wlock @@ fun () ->
+  let t0 = if Control.enabled () then Trace.now_ns () else 0 in
+  match Wire.Outbox.send conn.outbox conn.fd resp with
+  | n ->
+      if t0 <> 0 then begin
+        Metrics.add t.m_bytes_out n;
+        Metrics.observe Metrics.default "net.write.ns" (Trace.now_ns () - t0)
+      end
+  | exception Unix.Unix_error (_, _, _) -> Atomic.set conn.closing true
 
 (* ---------------- request execution (via the engine) ---------------- *)
 
@@ -558,55 +556,37 @@ let dispatch t conn req =
       if Atomic.get t.stopping then respond t conn (Wire.Error (Wire.Shutting_down, "draining"))
       else submit_query t conn req
 
-(* Peel complete frames off [conn.inbuf]. Framing damage (oversized
-   header, CRC mismatch) means the stream can no longer be trusted:
-   answer [Corrupt_frame] and close. A frame that is intact but does
-   not decode is the client's problem alone: [Bad_request], stream
-   stays up. *)
-let parse_frames t conn =
-  let continue = ref true in
-  while !continue && not (Atomic.get conn.closing) do
-    let buf = conn.inbuf in
-    let have = String.length buf in
-    if have < Wire.header_bytes then continue := false
-    else
-      match Wire.decode_header (String.sub buf 0 Wire.header_bytes) with
-      | Result.Error e ->
-          respond t conn (Wire.Error (Wire.Corrupt_frame, Wire.protocol_error_to_string e));
-          Atomic.set conn.closing true
-      | Result.Ok (len, crc) ->
-          if have < Wire.header_bytes + len then continue := false
-          else begin
-            let payload = String.sub buf Wire.header_bytes len in
-            conn.inbuf <-
-              String.sub buf (Wire.header_bytes + len) (have - Wire.header_bytes - len);
-            match Wire.check_payload ~crc payload with
-            | Result.Error e ->
-                Log.warn ~comp:"server" "corrupt frame; closing stream" (fun () ->
-                    [ Log.s "peer" conn.peer; Log.s "error" (Wire.protocol_error_to_string e) ]);
-                respond t conn (Wire.Error (Wire.Corrupt_frame, Wire.protocol_error_to_string e));
-                Atomic.set conn.closing true
-            | Result.Ok payload -> (
-                let t_dec = if Control.enabled () then Trace.now_ns () else 0 in
-                let decoded = Wire.decode_request payload in
-                if t_dec <> 0 then
-                  Metrics.observe Metrics.default "net.decode.ns" (Trace.now_ns () - t_dec);
-                match decoded with
-                | Result.Error e ->
-                    respond t conn
-                      (Wire.Error (Wire.Bad_request, Wire.protocol_error_to_string e))
-                | Result.Ok req -> dispatch t conn req)
-          end
-  done
+(* Take complete frames off [conn.inbox] where they lie. Framing
+   damage (oversized header, CRC mismatch) means the stream can no
+   longer be trusted: answer [Corrupt_frame] and close. A frame that
+   is intact but does not decode is the client's problem alone:
+   [Bad_request], stream stays up. *)
+let rec parse_frames t conn =
+  if not (Atomic.get conn.closing) then begin
+    let t_dec = if Control.enabled () then Trace.now_ns () else 0 in
+    match Wire.Inbox.next conn.inbox with
+    | Wire.Inbox.Await -> ()
+    | Wire.Inbox.Damaged e ->
+        Log.warn ~comp:"server" "corrupt frame; closing stream" (fun () ->
+            [ Log.s "peer" conn.peer; Log.s "error" (Wire.protocol_error_to_string e) ]);
+        respond t conn (Wire.Error (Wire.Corrupt_frame, Wire.protocol_error_to_string e));
+        Atomic.set conn.closing true
+    | Wire.Inbox.Request decoded ->
+        if t_dec <> 0 then
+          Metrics.observe Metrics.default "net.decode.ns" (Trace.now_ns () - t_dec);
+        (match decoded with
+        | Result.Error e ->
+            respond t conn (Wire.Error (Wire.Bad_request, Wire.protocol_error_to_string e))
+        | Result.Ok req -> dispatch t conn req);
+        parse_frames t conn
+  end
 
 let read_chunk t conn =
-  let buf = Bytes.create 65536 in
-  match Failpoint.Io.recv conn.fd buf ~pos:0 ~len:(Bytes.length buf) with
+  match Wire.Inbox.fill conn.inbox (Failpoint.Io.recv conn.fd) with
   | 0 -> Atomic.set conn.closing true
   | n ->
       if Control.enabled () then Metrics.add t.m_bytes_in n;
-      conn.last_active <- Unix.gettimeofday ();
-      conn.inbuf <- conn.inbuf ^ Bytes.sub_string buf 0 n;
+      conn.last_active <- Trace.now_ns ();
       parse_frames t conn
   | exception Unix.Unix_error (_, _, _) -> Atomic.set conn.closing true
 
@@ -637,11 +617,12 @@ let accept_conn t =
         {
           fd;
           peer;
-          inbuf = "";
+          inbox = Wire.Inbox.create ();
+          outbox = Wire.Outbox.create ();
           wlock = Mutex.create ();
           pending = Atomic.make 0;
           closing = Atomic.make false;
-          last_active = Unix.gettimeofday ();
+          last_active = Trace.now_ns ();
           sub = None;
         }
         :: t.conns
@@ -653,17 +634,18 @@ let accept_conn t =
    are exempt — quiet is their steady state between writes. *)
 let reap t =
   if t.idle_timeout_s > 0. then begin
-    let now = Unix.gettimeofday () in
+    let now = Trace.now_ns () in
+    let idle_s c = float_of_int (now - c.last_active) /. 1e9 in
     List.iter
       (fun c ->
         if
           (not (Atomic.get c.closing))
           && c.sub = None
           && Atomic.get c.pending = 0
-          && now -. c.last_active > t.idle_timeout_s
+          && idle_s c > t.idle_timeout_s
         then begin
           Log.info ~comp:"server" "idle connection reaped" (fun () ->
-              [ Log.s "peer" c.peer; Log.f "idle_s" (now -. c.last_active) ]);
+              [ Log.s "peer" c.peer; Log.f "idle_s" (idle_s c) ]);
           Atomic.set c.closing true
         end)
       t.conns

@@ -253,9 +253,8 @@ let request_payload req =
       Codec.W.u64 b epoch);
   Buffer.contents b
 
-let response_payload resp =
-  let b = Buffer.create 64 in
-  (match resp with
+let write_response b resp =
+  match resp with
   | Pong -> Codec.W.u8 b 128
   | Ids { ids; complete; faults } ->
       Codec.W.u8 b 129;
@@ -300,15 +299,19 @@ let response_payload resp =
       write_repl_status b st
   | Promoted { epoch } ->
       Codec.W.u8 b 141;
-      Codec.W.u64 b epoch);
+      Codec.W.u64 b epoch
+
+let response_payload resp =
+  let b = Buffer.create 64 in
+  write_response b resp;
   Buffer.contents b
 
 (* Total decoding: anything [Codec] or a [Vquery] constructor rejects
    becomes [Malformed]; an unconsumed suffix is [Malformed] too (frame
    boundaries are exact). *)
-let decoding payload read_body =
+let decoding ?pos ?len payload read_body =
   match
-    let r = Codec.R.of_string payload in
+    let r = Codec.R.of_string ?pos ?len payload in
     let tag = Codec.R.u8 r in
     match read_body r tag with
     | None -> Result.Error (Unknown_tag tag)
@@ -322,8 +325,8 @@ let decoding payload read_body =
   | exception Codec.Corrupt m -> Result.Error (Malformed m)
   | exception Invalid_argument m -> Result.Error (Malformed m)
 
-let decode_request payload =
-  decoding payload (fun r tag ->
+let decode_request ?pos ?len payload =
+  decoding ?pos ?len payload (fun r tag ->
       match tag with
       | 1 -> Some Ping
       | 2 -> Some (Query (read_vquery r))
@@ -393,24 +396,111 @@ let decode_response payload =
 
 (* ---------------- framing ---------------- *)
 
+(* The one header writer: [buf.[header_bytes, header_bytes + len)]
+   holds a payload; its length and CRC go in front of it. *)
+let write_header buf len =
+  Bytes.set_int32_le buf 0 (Int32.of_int len);
+  Bytes.set_int32_le buf 4 (Int32.of_int (Crc.bytes buf ~pos:header_bytes ~len))
+
 let frame payload =
-  let b = Buffer.create (String.length payload + header_bytes) in
-  Codec.W.u32 b (String.length payload);
-  Codec.W.u32 b (Crc.string payload);
-  Buffer.add_string b payload;
-  Buffer.contents b
+  let len = String.length payload in
+  let b = Bytes.create (header_bytes + len) in
+  Bytes.blit_string payload 0 b header_bytes len;
+  write_header b len;
+  Bytes.unsafe_to_string b
 
 let encode_request req = frame (request_payload req)
 let encode_response resp = frame (response_payload resp)
 
-let decode_header s =
-  let r = Codec.R.of_string s in
+let decode_header ?pos s =
+  let r = Codec.R.of_string ?pos s in
   let len = Codec.R.u32 r in
   let crc = Codec.R.u32 r in
   if len > max_frame then Result.Error (Oversized len) else Result.Ok (len, crc)
 
 let check_payload ~crc payload =
   if Crc.string payload = crc then Result.Ok payload else Result.Error Crc_mismatch
+
+(* ---------------- served connections ---------------- *)
+
+module Inbox = struct
+  (* [buf.[start, stop)] is received and not yet framed. A frame is
+     parsed where it lies: the header, the CRC over its byte range and
+     the decoder all read [buf] by offset. The decoder copies whatever
+     it keeps, so the string view never outlives the call. *)
+  type t = { mutable buf : Bytes.t; mutable start : int; mutable stop : int }
+
+  let initial_bytes = 65536
+  let create () = { buf = Bytes.create initial_bytes; start = 0; stop = 0 }
+
+  type frame = Await | Damaged of protocol_error | Request of (request, protocol_error) result
+
+  (* Room is made from the bytes received, never from the length a
+     header declares. When the buffer is drained or full, the pending
+     bytes move to its front: a buffer they fill doubles (up to the
+     largest frame), and a grown one goes back to the usual size once
+     they fit there. So a buffer is at most the usual size or twice the
+     most bytes ever pending at once, whatever a header claims. *)
+  let fill t read =
+    let have = t.stop - t.start and size = Bytes.length t.buf in
+    if have = 0 || t.stop = size then begin
+      let want =
+        if have = size then min (2 * size) (header_bytes + max_frame)
+        else if have < initial_bytes then initial_bytes
+        else size
+      in
+      let dst = if want = size then t.buf else Bytes.create want in
+      Bytes.blit t.buf t.start dst 0 have;
+      t.buf <- dst;
+      t.start <- 0;
+      t.stop <- have
+    end;
+    let n = read t.buf ~pos:t.stop ~len:(Bytes.length t.buf - t.stop) in
+    t.stop <- t.stop + n;
+    n
+
+  let next t =
+    let have = t.stop - t.start in
+    if have < header_bytes then Await
+    else
+      let view = Bytes.unsafe_to_string t.buf in
+      match decode_header ~pos:t.start view with
+      | Result.Error e -> Damaged e
+      | Result.Ok (len, crc) ->
+          if have < header_bytes + len then Await
+          else
+            let pos = t.start + header_bytes in
+            if Crc.bytes t.buf ~pos ~len <> crc then Damaged Crc_mismatch
+            else begin
+              t.start <- pos + len;
+              Request (decode_request ~pos ~len view)
+            end
+end
+
+module Outbox = struct
+  type t = { payload : Buffer.t; mutable frame : Bytes.t }
+
+  (* responses above this size get buffers of their own, so one
+     snapshot or stats dump does not pin its size to the connection *)
+  let kept_bytes = 65536
+  let create () = { payload = Buffer.create 256; frame = Bytes.create 4096 }
+
+  let send t fd resp =
+    Buffer.clear t.payload;
+    write_response t.payload resp;
+    let len = Buffer.length t.payload in
+    let total = header_bytes + len in
+    if Bytes.length t.frame < total then t.frame <- Bytes.create total;
+    Buffer.blit t.payload 0 t.frame header_bytes len;
+    write_header t.frame len;
+    let frame = t.frame in
+    if total > kept_bytes then begin
+      Buffer.reset t.payload;
+      t.frame <- Bytes.create 4096
+    end;
+    Failpoint.Io.send_all fd frame ~pos:0 ~len:total;
+    total
+end
 
 (* ---------------- blocking fd transport ---------------- *)
 
@@ -419,12 +509,12 @@ let send fd s =
      the (possibly bit-flipping) writer is safe *)
   Failpoint.Io.send_all fd (Bytes.of_string s) ~pos:0 ~len:(String.length s)
 
-let wait_readable fd deadline =
-  match deadline with
+let wait_readable fd deadline_ns =
+  match deadline_ns with
   | None -> ()
   | Some d ->
       let rec go () =
-        let left = d -. Unix.gettimeofday () in
+        let left = float_of_int (d - Trace.now_ns ()) /. 1e9 in
         if left <= 0.0 then raise (Unix.Unix_error (Unix.ETIMEDOUT, "net.recv", ""));
         match Unix.select [ fd ] [] [] left with
         | [], _, _ -> raise (Unix.Unix_error (Unix.ETIMEDOUT, "net.recv", ""))
@@ -444,14 +534,16 @@ let recv_exact deadline fd buf ~len =
   done;
   !got
 
+(* [hdr] and [payload] are fresh and never written after the read, so
+   they are handed on as strings without a copy *)
 let recv ?timeout fd =
-  let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) timeout in
+  let deadline = Option.map (fun s -> Trace.now_ns () + int_of_float (s *. 1e9)) timeout in
   let hdr = Bytes.create header_bytes in
   if recv_exact deadline fd hdr ~len:header_bytes < header_bytes then Result.Error Truncated
   else
-    match decode_header (Bytes.to_string hdr) with
+    match decode_header (Bytes.unsafe_to_string hdr) with
     | Result.Error e -> Result.Error e
     | Result.Ok (len, crc) ->
         let payload = Bytes.create len in
         if recv_exact deadline fd payload ~len < len then Result.Error Truncated
-        else check_payload ~crc (Bytes.to_string payload)
+        else check_payload ~crc (Bytes.unsafe_to_string payload)

@@ -181,15 +181,69 @@ val encode_request : request -> string
 
 val encode_response : response -> string
 
-val decode_request : string -> (request, protocol_error) result
-(** Over a CRC-verified payload (no header). *)
+val decode_request : ?pos:int -> ?len:int -> string -> (request, protocol_error) result
+(** Over a CRC-verified payload (no header): the [len] bytes from
+    [pos], by default the whole string. *)
 
 val decode_response : string -> (response, protocol_error) result
 
-val decode_header : string -> (int * int, protocol_error) result
-(** [(payload_len, crc)] from the first {!header_bytes} bytes. *)
+val decode_header : ?pos:int -> string -> (int * int, protocol_error) result
+(** [(payload_len, crc)] from the {!header_bytes} bytes at [pos]
+    (default 0). *)
 
 val check_payload : crc:int -> string -> (string, protocol_error) result
+
+(** {1 Served connections}
+
+    A server connection's two buffers, each reused for the
+    connection's life, so serving a request allocates no buffer per
+    read or per response. Only a frame above 64 KiB gets a buffer of
+    its own. *)
+
+(** The receive side: bytes read from the socket, framed where they
+    lie. One read may carry many frames or part of one. The buffer
+    holds 64 KiB. It grows only with the bytes received, never with
+    the length a header declares: it doubles when pending bytes fill
+    it, and goes back to 64 KiB once they fit there again. *)
+module Inbox : sig
+  type t
+
+  val create : unit -> t
+
+  val fill : t -> (Bytes.t -> pos:int -> len:int -> int) -> int
+  (** [fill t read] calls [read buf ~pos ~len] once to append at most
+      [len] received bytes at [pos] of the buffer, and returns its
+      result ([0] = end of stream). Call it only once {!next} has
+      answered [Await]. *)
+
+  type frame =
+    | Await  (** no complete frame is buffered *)
+    | Damaged of protocol_error
+        (** framing damage: an oversized length or a CRC mismatch. The
+            stream can no longer be trusted; every later call answers
+            the same. *)
+    | Request of (request, protocol_error) result
+        (** one whole, CRC-checked frame, consumed; [Error] when its
+            payload does not decode *)
+
+  val next : t -> frame
+end
+
+(** The response side: the payload is encoded into a reused buffer
+    and copied once behind its header into a reused frame buffer,
+    which one write sends. Not synchronised: the caller holds the
+    connection's write lock. *)
+module Outbox : sig
+  type t
+
+  val create : unit -> t
+
+  val send : t -> Unix.file_descr -> response -> int
+  (** Encodes the response's frame into the buffers and writes it
+      through {!Segdb_io.Failpoint.Io.send_all} ([net.write] site).
+      Returns the frame's size. Raises [Unix.Unix_error] on connection
+      death. *)
+end
 
 (** {1 Blocking fd transport} *)
 

@@ -20,7 +20,17 @@
    domain pushes into its own ring (registered once, merged by
    [events ()]), so span exits from concurrent query workers never
    contend on a shared ring lock — only the per-phase histogram update
-   serializes, inside the registry. *)
+   serializes, inside the registry.
+
+   A ring is preallocated columns: int arrays for the numeric fields
+   and a string array for the phase names, which callers build once.
+   A push stores ints and one pointer to an old string, so it
+   allocates nothing and leaves nothing for the minor GC to promote.
+   Its owner brackets each slot write with two atomic counters,
+   [started] before and [next] after. A reader on another domain
+   copies the slots below [next], then drops every one that [started]
+   says may have been overwritten meanwhile, so it never returns a
+   torn event. *)
 
 type event = {
   seq : int;
@@ -69,20 +79,45 @@ let with_request_id rid f =
 
 (* ---------------- per-domain rings ---------------- *)
 
-(* Each domain owns one ring (created and registered on first use);
-   only the owner writes it, so pushes are lock-free. The mutex guards
-   the registry of rings and the structural operations
-   ([set_capacity]/[clear]/[events]). [events] reading a ring while its
-   owner pushes is a benign race: slots hold immutable event records
-   behind a single pointer store, so a reader sees either the old or
-   the new event, never a torn one. *)
+(* One domain's columns; slot [k mod cap] holds push [k]. Only the
+   owning domain pushes. [set_capacity] and [clear] swap in a fresh
+   ring instead of touching one an owner may be writing. *)
+type ring = {
+  dom : int;
+  cap : int;
+  started : int Atomic.t;  (** pushes begun *)
+  next : int Atomic.t;  (** pushes finished *)
+  seqs : int array;
+  phases : string array;
+  depths : int array;
+  t0s : int array;
+  durs : int array;
+  blockss : int array;
+  rids : int array;
+}
 
-module Ring = Segdb_util.Ring
+let make_ring ~dom cap =
+  let col () = Array.make cap 0 in
+  {
+    dom;
+    cap;
+    started = Atomic.make 0;
+    next = Atomic.make 0;
+    seqs = col ();
+    phases = Array.make cap "";
+    depths = col ();
+    t0s = col ();
+    durs = col ();
+    blockss = col ();
+    rids = col ();
+  }
 
+(* The mutex guards the registry of rings and the structural
+   operations ([set_capacity]/[clear]/[events]). *)
 let mu = Mutex.create ()
 let default_capacity = 4096
 let cap = Atomic.make default_capacity
-let rings : event Ring.t list ref = ref []
+let rings : ring Atomic.t list ref = ref []
 let next_seq = Atomic.make 0
 
 let locked f =
@@ -91,34 +126,73 @@ let locked f =
 
 let ring_key =
   Domain.DLS.new_key (fun () ->
-      let r = Ring.create (Atomic.get cap) in
+      let r = Atomic.make (make_ring ~dom:(Domain.self () :> int) (Atomic.get cap)) in
       locked (fun () -> rings := r :: !rings);
       r)
+
+(* an empty ring of the right size stays: a domain that has ended
+   costs one allocation, not one per clear *)
+let renew_all () =
+  List.iter
+    (fun r ->
+      let old = Atomic.get r in
+      if Atomic.get old.started > 0 || old.cap <> Atomic.get cap then
+        Atomic.set r (make_ring ~dom:old.dom (Atomic.get cap)))
+    !rings;
+  Atomic.set next_seq 0
 
 let set_capacity n =
   if n < 1 then invalid_arg "Trace.set_capacity: capacity must be positive";
   locked (fun () ->
       Atomic.set cap n;
-      List.iter
-        (fun r ->
-          Ring.clear r;
-          Ring.resize r n)
-        !rings;
-      Atomic.set next_seq 0)
+      renew_all ())
 
-let clear () =
-  locked (fun () ->
-      List.iter Ring.clear !rings;
-      Atomic.set next_seq 0)
+let clear () = locked renew_all
 
 (* Push onto the calling domain's ring. The ring keeps its own write
    cursor (not [seq mod capacity]) so each domain retains its last
    [capacity] events even when seqs interleave across domains. *)
-let push ev = Ring.push (Domain.DLS.get ring_key) ev
+let push ~request_id ~depth ~t0_ns ~dur_ns ~blocks phase =
+  let r = Atomic.get (Domain.DLS.get ring_key) in
+  let k = Atomic.get r.next in
+  Atomic.set r.started (k + 1);
+  let i = k mod r.cap in
+  r.seqs.(i) <- Atomic.fetch_and_add next_seq 1;
+  r.phases.(i) <- phase;
+  r.depths.(i) <- depth;
+  r.t0s.(i) <- t0_ns;
+  r.durs.(i) <- dur_ns;
+  r.blockss.(i) <- blocks;
+  r.rids.(i) <- request_id;
+  Atomic.set r.next (k + 1)
+
+(* Whole events only: a push that began after [next] was read may have
+   overwritten a copied slot, and [started] bounds which ones. *)
+let ring_events r acc =
+  let n = Atomic.get r.next in
+  let copied = ref [] in
+  for k = max 0 (n - r.cap) to n - 1 do
+    let i = k mod r.cap in
+    copied :=
+      ( k,
+        {
+          seq = r.seqs.(i);
+          phase = r.phases.(i);
+          depth = r.depths.(i);
+          t0_ns = r.t0s.(i);
+          dur_ns = r.durs.(i);
+          blocks = r.blockss.(i);
+          request_id = r.rids.(i);
+          dom = r.dom;
+        } )
+      :: !copied
+  done;
+  let oldest_intact = Atomic.get r.started - r.cap in
+  List.fold_left (fun acc (k, e) -> if k >= oldest_intact then e :: acc else acc) acc !copied
 
 let events () =
   locked (fun () ->
-      List.concat_map Ring.to_list !rings
+      List.fold_left (fun acc r -> ring_events (Atomic.get r) acc) [] !rings
       |> List.sort (fun (a : event) b -> compare a.seq b.seq))
 
 (* ---------------- spans ---------------- *)
@@ -127,19 +201,6 @@ let depth_key = Domain.DLS.new_key (fun () -> ref 0)
 
 let span_histogram phase = "span." ^ phase ^ ".ns"
 let span_blocks_histogram phase = "span." ^ phase ^ ".blocks"
-
-let push_event ~request_id ~depth ~t0_ns ~dur_ns ~blocks phase =
-  push
-    {
-      seq = Atomic.fetch_and_add next_seq 1;
-      phase;
-      depth;
-      t0_ns;
-      dur_ns;
-      blocks;
-      request_id;
-      dom = (Domain.self () :> int);
-    }
 
 let with_span ?(blocks = fun () -> 0) phase f =
   if not (Control.enabled ()) then f ()
@@ -154,7 +215,7 @@ let with_span ?(blocks = fun () -> 0) phase f =
         if !d > 0 then decr d;
         let blocks = max 0 (blocks () - b0) in
         let dur_ns = now_ns () - t0_ns in
-        push_event ~request_id ~depth ~t0_ns ~dur_ns ~blocks phase;
+        push ~request_id ~depth ~t0_ns ~dur_ns ~blocks phase;
         Metrics.observe Metrics.default (span_histogram phase) dur_ns;
         Metrics.observe Metrics.default (span_blocks_histogram phase) blocks)
       f
@@ -169,4 +230,4 @@ let record ?request_id ?(blocks = 0) ~t0_ns ~dur_ns phase =
     let request_id =
       match request_id with Some r -> r | None -> current_request_id ()
     in
-    push_event ~request_id ~depth:!(Domain.DLS.get depth_key) ~t0_ns ~dur_ns ~blocks phase
+    push ~request_id ~depth:!(Domain.DLS.get depth_key) ~t0_ns ~dur_ns ~blocks phase

@@ -63,7 +63,9 @@ val record :
 (** [record ~t0_ns ~dur_ns phase] appends a completed event to the
     calling domain's ring, for intervals whose endpoints were measured
     out-of-band — e.g. a queue wait stamped on the submitting domain and
-    measured at pickup on a worker. Uses the calling domain's current
+    measured at pickup on a worker. The event is ints stored into
+    preallocated columns, so nothing reaches the major heap as long as
+    [phase] is a long-lived string. Uses the calling domain's current
     request id unless [request_id] is given. It feeds no histogram: the
     caller that measured the interval records its own metric
     ([exec.queue_wait.ns], [net.request.ns]). No-op while tracing is
@@ -74,7 +76,10 @@ val record :
 val events : unit -> event list
 (** The surviving events of every domain's ring, merged, oldest first
     (by [seq]). Each domain retains at most the {!set_capacity} bound
-    of events. *)
+    of events. Safe while other domains push: a ring's owner marks a
+    push begun before it writes the slot's columns and finished after,
+    and a reader keeps only the slots that no push begun since its
+    copy can have touched, so every returned event is whole. *)
 
 val clear : unit -> unit
 

@@ -1,11 +1,10 @@
 (** A bounded buffer that overwrites its oldest element when full —
-    the store behind every in-memory record log (trace events, log
-    events, slow-query records, sampler snapshots).
+    the store behind [Log]'s ring sink and the slow-query log. Trace
+    events do not use it: each domain's trace ring is unboxed columns
+    (see [Segdb_obs.Trace]), because a boxed slot here promotes every
+    pushed element to the major heap.
 
-    Unsynchronised: each caller keeps its own lock or single-owner
-    discipline. {!push} is one slot store plus one counter bump, so an
-    owner may push on a hot path; a reader racing the owner sees each
-    slot either before or after the store, never torn. *)
+    Unsynchronised: each caller pushes and reads under its own lock. *)
 
 type 'a t
 

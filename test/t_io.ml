@@ -47,25 +47,41 @@ let test_lru_iter_order () =
   Lru.iter l (fun k _ -> order := k :: !order);
   Alcotest.(check (list int)) "MRU first" [ 1; 3; 2 ] (List.rev !order)
 
-(* Model-based property: the LRU against a naive list model. *)
+(* Model-based property: puts, finds and removes against a naive list
+   model, most recent first. Every answer, every evicted binding, the
+   final recency order and the length agree. *)
 let prop_lru_model =
   QCheck.Test.make ~name:"lru model equivalence" ~count:300
-    QCheck.(pair (int_range 1 8) (small_list (pair (int_range 0 15) (int_range 0 100))))
+    QCheck.(
+      pair (int_range 1 8)
+        (small_list (triple (int_range 0 3) (int_range 0 15) (int_range 0 100))))
     (fun (cap, ops) ->
-      QCheck.assume (cap >= 1);
       let l = Lru.create ~capacity:cap in
-      (* model: association list, most recent first *)
       let model = ref [] in
       let ok = ref true in
       List.iter
-        (fun (k, v) ->
-          Lru.put l k v ~on_evict:(fun _ _ -> ());
-          model := (k, v) :: List.remove_assoc k !model;
-          if List.length !model > cap then
-            model := List.filteri (fun i _ -> i < cap) !model)
+        (fun (op, k, v) ->
+          match op with
+          | 0 | 1 ->
+              let evicted = ref [] in
+              Lru.put l k v ~on_evict:(fun k' v' -> evicted := (k', v') :: !evicted);
+              let m = (k, v) :: List.remove_assoc k !model in
+              model := List.filteri (fun i _ -> i < cap) m;
+              if !evicted <> List.filteri (fun i _ -> i >= cap) m then ok := false
+          | 2 ->
+              let want = List.assoc_opt k !model in
+              Option.iter (fun mv -> model := (k, mv) :: List.remove_assoc k !model) want;
+              if Lru.find l k <> want then ok := false
+          | _ ->
+              let want = List.assoc_opt k !model in
+              model := List.remove_assoc k !model;
+              if Lru.remove l k <> want then ok := false)
         ops;
+      let order = ref [] in
+      Lru.iter l (fun k v -> order := (k, v) :: !order);
+      if List.rev !order <> !model then ok := false;
       List.iter
-        (fun (k, _) ->
+        (fun (_, k, _) ->
           match List.assoc_opt k !model with
           | Some mv -> if Lru.find l k <> Some mv then ok := false
           | None -> if Lru.mem l k then ok := false)

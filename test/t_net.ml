@@ -257,6 +257,145 @@ let test_negative_frames () =
   | Result.Error (Wire.Malformed _) -> ()
   | _ -> Alcotest.fail "trailing bytes accepted"
 
+(* ---------------- the server's framer ---------------- *)
+
+let random_queries ?(n = 64) seed =
+  let rng = Rng.create seed in
+  Array.init n (fun _ ->
+      let x = Rng.float rng 120.0 -. 10.0 in
+      match Rng.int rng 4 with
+      | 0 -> Vquery.line ~x
+      | 1 -> Vquery.ray_up ~x ~ylo:(Rng.float rng 100.0)
+      | 2 -> Vquery.ray_down ~x ~yhi:(Rng.float rng 100.0)
+      | _ ->
+          let y = Rng.float rng 100.0 in
+          Vquery.segment ~x ~ylo:y ~yhi:(y +. Rng.float rng 40.0))
+
+(* Feed [stream] to a fresh inbox, [chunks] bytes a read (the list
+   cycles), taking every complete frame after each read as the accept
+   loop does. The server closes the stream at the first damaged frame,
+   so this stops there too, after checking that the inbox keeps
+   answering the damage. *)
+let frame_stream stream chunks =
+  let ib = Wire.Inbox.create () in
+  let out = ref [] and sent = ref 0 and damaged = ref false in
+  let rec take () =
+    match Wire.Inbox.next ib with
+    | Wire.Inbox.Await -> ()
+    | Wire.Inbox.Damaged e ->
+        out := Result.Error e :: !out;
+        damaged := true
+    | Wire.Inbox.Request r ->
+        out := Result.Ok r :: !out;
+        take ()
+  in
+  let pending = ref chunks in
+  while (not !damaged) && !sent < String.length stream do
+    let chunk =
+      match !pending with
+      | c :: rest ->
+          pending := rest;
+          c
+      | [] ->
+          pending := List.tl chunks;
+          List.hd chunks
+    in
+    let n =
+      Wire.Inbox.fill ib (fun buf ~pos ~len ->
+          let n = min len (min chunk (String.length stream - !sent)) in
+          Bytes.blit_string stream !sent buf pos n;
+          n)
+    in
+    if n = 0 then Alcotest.fail "the inbox had no room for the frame it awaits";
+    sent := !sent + n;
+    take ()
+  done;
+  if !damaged then
+    (match Wire.Inbox.next ib with
+    | Wire.Inbox.Damaged _ -> ()
+    | _ -> Alcotest.fail "the inbox moved past a damaged frame");
+  List.rev !out
+
+(* Damage frame [i] of [frames]: flip a payload byte (a CRC mismatch)
+   or claim an oversized length. *)
+let damage frames i oversize =
+  List.mapi
+    (fun j f ->
+      if j <> i then f
+      else
+        let b = Bytes.of_string f in
+        if oversize then Bytes.set_int32_le b 0 (Int32.of_int (Wire.max_frame + 1))
+        else
+          Bytes.set b Wire.header_bytes
+            (Char.chr (Char.code (Bytes.get b Wire.header_bytes) lxor 0x5a));
+        Bytes.to_string b)
+    frames
+
+let gen_chunks =
+  QCheck.Gen.(
+    list_size (int_range 1 6)
+      (oneof [ int_range 1 16; int_range 1 4_096; int_range 1 (70 * 1024) ]))
+
+let prop_framer_chunking =
+  QCheck.Test.make ~name:"the framer decodes any chunking of a frame stream" ~count:60
+    QCheck.(
+      make
+        Gen.(
+          tup4
+            (list_size (int_range 1 8) gen_request)
+            (tup2 (int_bound 8) (int_bound 1_000))
+            gen_chunks
+            (opt (tup2 (int_bound 9) bool))))
+    (fun (reqs, (at, seed), chunks, damaged) ->
+      (* one batch whose frame is larger than the 64 KiB receive
+         buffer: 24 bytes a query, so about 72 KB *)
+      let big = Wire.Batch (random_queries ~n:3_000 seed) in
+      let reqs =
+        let at = min at (List.length reqs) in
+        List.filteri (fun i _ -> i < at) reqs @ (big :: List.filteri (fun i _ -> i >= at) reqs)
+      in
+      let frames = List.map Wire.encode_request reqs in
+      (* whole-frame decoding, the reference *)
+      let whole =
+        List.map
+          (fun f ->
+            match payload_of_frame f with
+            | Result.Ok p -> Result.Ok (Wire.decode_request p)
+            | Result.Error e -> Result.Error e)
+          frames
+      in
+      match damaged with
+      | None -> frame_stream (String.concat "" frames) chunks = whole
+      | Some (i, oversize) ->
+          let i = i mod List.length frames in
+          let got = frame_stream (String.concat "" (damage frames i oversize)) chunks in
+          let error =
+            if oversize then Wire.Oversized (Wire.max_frame + 1) else Wire.Crc_mismatch
+          in
+          got = List.filteri (fun j _ -> j < i) whole @ [ Result.Error error ])
+
+(* A header may claim any length up to [max_frame]; the receive buffer
+   grows only with the bytes that arrive, so a peer cannot make the
+   server hold memory it did not send. *)
+let test_inbox_grows_with_bytes () =
+  let ib = Wire.Inbox.create () in
+  let hdr = header Wire.max_frame 0 in
+  let fed = ref 0 in
+  while !fed < 200_000 do
+    let n =
+      Wire.Inbox.fill ib (fun buf ~pos ~len ->
+          if pos + len > (2 * !fed) + 65536 then
+            Alcotest.failf "%d bytes of room offered after %d fed" (pos + len) !fed;
+          if len = 0 then Alcotest.fail "no room for the frame the inbox awaits";
+          Bytes.set buf pos (if !fed < Wire.header_bytes then hdr.[!fed] else 'x');
+          1)
+    in
+    fed := !fed + n;
+    match Wire.Inbox.next ib with
+    | Wire.Inbox.Await -> ()
+    | _ -> Alcotest.fail "a partial frame was taken"
+  done
+
 (* ---------------- blocking transport ---------------- *)
 
 let with_socketpair f =
@@ -341,18 +480,6 @@ let with_server ?domains ?queue_depth ?deadline_ms db f =
       Server.wait srv)
     (fun () -> f (Server.bound_addr srv))
 
-let random_queries ?(n = 64) seed =
-  let rng = Rng.create seed in
-  Array.init n (fun _ ->
-      let x = Rng.float rng 120.0 -. 10.0 in
-      match Rng.int rng 4 with
-      | 0 -> Vquery.line ~x
-      | 1 -> Vquery.ray_up ~x ~ylo:(Rng.float rng 100.0)
-      | 2 -> Vquery.ray_down ~x ~yhi:(Rng.float rng 100.0)
-      | _ ->
-          let y = Rng.float rng 100.0 in
-          Vquery.segment ~x ~ylo:y ~yhi:(y +. Rng.float rng 40.0))
-
 (* The acceptance criterion: a served batch is byte-identical to the
    in-process parallel engine's answer. *)
 let test_loopback_parity () =
@@ -393,6 +520,106 @@ let test_loopback_parity () =
               Alcotest.(check int) "count" (Db.count db q)
                 (List.length one.Db.Degraded.value))
             (Array.sub qs 0 8)))
+
+let raw_frame payload =
+  let b = Buffer.create 16 in
+  Codec.W.u32 b (String.length payload);
+  Codec.W.u32 b (Segdb_io.Crc.string payload);
+  Buffer.add_string b payload;
+  Buffer.contents b
+
+(* Pipelined frames trickling in a few bytes at a time, one of them
+   larger than the server's receive buffer: every answer is the one a
+   client's own exchange gets, and an unknown tag costs only its own
+   frame. *)
+let test_pipelined_trickle () =
+  let db = build_db () in
+  with_server ~domains:1 db (fun addr ->
+      let qs = random_queries 11 and big = random_queries ~n:3_000 12 in
+      let stream =
+        String.concat ""
+          [
+            Wire.encode_request Wire.Ping;
+            Wire.encode_request (Wire.Query qs.(0));
+            Wire.encode_request (Wire.Batch big);
+            raw_frame "\x63";
+            Wire.encode_request (Wire.Query qs.(1));
+          ]
+      in
+      let fd = Server.dial addr in
+      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+      (* answers are read on another domain: the batch's may not fit
+         the socket buffers while this one is still writing *)
+      let reader =
+        Domain.spawn (fun () ->
+            List.init 5 (fun _ ->
+                match Wire.recv ~timeout:30.0 fd with
+                | Result.Ok p -> Wire.decode_response p
+                | Result.Error e -> Result.Error e))
+      in
+      let rng = Rng.create 5 and sent = ref 0 in
+      while !sent < String.length stream do
+        let n = min (1 + Rng.int rng 12) (String.length stream - !sent) in
+        sent := !sent + Unix.write_substring fd stream !sent n
+      done;
+      let answers =
+        List.map
+          (function
+            | Result.Ok r -> r
+            | Result.Error e -> Alcotest.failf "answer: %s" (Wire.protocol_error_to_string e))
+          (Domain.join reader)
+      in
+      let c = Client.connect ~timeout_ms:30_000 addr in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      Client.ping c;
+      let ids (d : int list Db.Degraded.t) =
+        Wire.Ids { ids = d.Db.Degraded.value; complete = d.complete; faults = d.faults }
+      in
+      let b = Client.batch c big in
+      (* the accept loop answers a ping and a bad frame itself, so they
+         may overtake the pool's answers, which keep their order *)
+      let count p = List.length (List.filter p answers) in
+      Alcotest.(check int) "one pong" 1 (count (( = ) Wire.Pong));
+      Alcotest.(check int) "the unknown tag answered bad_request" 1
+        (count (function Wire.Error (Wire.Bad_request, _) -> true | _ -> false));
+      Alcotest.(check bool) "the pool's answers match the client's" true
+        (List.filter (function Wire.Ids _ | Wire.Batch_ids _ -> true | _ -> false) answers
+        = [
+            ids (Client.query c qs.(0));
+            Wire.Batch_ids
+              { results = b.Db.Degraded.value; complete = b.complete; faults = b.faults };
+            ids (Client.query c qs.(1));
+          ]))
+
+(* A damaged frame (a CRC mismatch, or a length past [max_frame]) is
+   answered [Corrupt_frame] and the server closes the stream: the
+   ping behind it is never answered. *)
+let test_damaged_frame_closes () =
+  let db = build_db ~n:50 () in
+  with_server ~domains:1 db (fun addr ->
+      List.iter
+        (fun oversize ->
+          let bad = Bytes.of_string (Wire.encode_request Wire.Ping) in
+          if oversize then Bytes.set_int32_le bad 0 (Int32.of_int (Wire.max_frame + 1))
+          else Bytes.set bad Wire.header_bytes '\x7f';
+          let ping = Wire.encode_request Wire.Ping in
+          let stream = ping ^ Bytes.to_string bad ^ ping in
+          let fd = Server.dial addr in
+          Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+          ignore (Unix.write_substring fd stream 0 (String.length stream));
+          let next () =
+            match Wire.recv ~timeout:10.0 fd with
+            | Result.Ok p -> Wire.decode_response p
+            | Result.Error e -> Result.Error e
+          in
+          Alcotest.(check bool) "the ping before it is answered" true
+            (next () = Result.Ok Wire.Pong);
+          (match next () with
+          | Result.Ok (Wire.Error (Wire.Corrupt_frame, _)) -> ()
+          | _ -> Alcotest.fail "a damaged frame not answered corrupt_frame");
+          Alcotest.(check bool) "nothing after it: the stream ends" true
+            (next () = Result.Error Wire.Truncated))
+        [ false; true ])
 
 let test_stats_over_wire () =
   let db = build_db ~n:100 () in
@@ -747,6 +974,9 @@ let suite =
       qtest prop_request_roundtrip;
       qtest prop_response_roundtrip;
       qtest prop_decode_total;
+      qtest prop_framer_chunking;
+      Alcotest.test_case "the receive buffer grows with the bytes, not the header" `Quick
+        test_inbox_grows_with_bytes;
       Alcotest.test_case "negative frames decode to typed errors" `Quick
         test_negative_frames;
       Alcotest.test_case "send/recv over a socketpair" `Quick test_send_recv_roundtrip;
@@ -755,6 +985,10 @@ let suite =
       Alcotest.test_case "addr_of_string" `Quick test_addr_of_string;
       Alcotest.test_case "loopback parity with the in-process engine" `Quick
         test_loopback_parity;
+      Alcotest.test_case "pipelined frames trickle in, each answered" `Quick
+        test_pipelined_trickle;
+      Alcotest.test_case "a damaged frame is answered, then the stream ends" `Quick
+        test_damaged_frame_closes;
       Alcotest.test_case "stats frame over the wire" `Quick test_stats_over_wire;
       Alcotest.test_case "two servers, each scrape reports its own node" `Quick
         test_two_servers_own_gauges;

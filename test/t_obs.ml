@@ -324,6 +324,56 @@ let test_per_domain_rings () =
   let doms = List.sort_uniq compare (List.map (fun (e : Trace.event) -> e.dom) evs) in
   Alcotest.(check bool) "events tagged with >= 2 domains" true (List.length doms >= 2)
 
+(* A reader racing an owner that keeps wrapping its ring gets only
+   whole events: every field of an event carries the same counter. *)
+let test_ring_whole_events () =
+  with_tracing @@ fun () ->
+  Trace.set_capacity 64;
+  Fun.protect ~finally:(fun () -> Trace.set_capacity 4096) @@ fun () ->
+  let phases = Array.init 7 (Printf.sprintf "phase%d") in
+  let stop = Atomic.make false in
+  let writer =
+    Domain.spawn (fun () ->
+        let c = ref 1 in
+        while not (Atomic.get stop) do
+          Trace.record ~request_id:!c ~blocks:!c ~t0_ns:!c ~dur_ns:!c phases.(!c mod 7);
+          incr c
+        done;
+        !c)
+  in
+  let reads = ref 0 and seen = ref 0 and torn = ref 0 in
+  while !reads < 2_000 || !seen < 10_000 do
+    incr reads;
+    List.iter
+      (fun (e : Trace.event) ->
+        incr seen;
+        let c = e.request_id in
+        if not (e.t0_ns = c && e.dur_ns = c && e.blocks = c && e.phase = phases.(c mod 7))
+        then incr torn)
+      (Trace.events ())
+  done;
+  Atomic.set stop true;
+  let pushed = Domain.join writer in
+  Alcotest.(check bool) (Printf.sprintf "%d events pushed" pushed) true (pushed > 64);
+  Alcotest.(check int) (Printf.sprintf "torn events among %d read" !seen) 0 !torn
+
+(* An event is ints stored into preallocated columns: recording puts
+   nothing in the major heap (a boxed event in a long-lived ring slot
+   was promoted on every push). *)
+let test_record_no_major_words () =
+  with_tracing @@ fun () ->
+  let phase = "pinned" in
+  Trace.record ~t0_ns:0 ~dur_ns:0 phase;
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  for i = 1 to 100_000 do
+    Trace.record ~request_id:i ~blocks:i ~t0_ns:i ~dur_ns:i phase
+  done;
+  Gc.minor ();
+  let words = (Gc.quick_stat ()).Gc.major_words -. before in
+  Alcotest.(check bool) (Printf.sprintf "%.0f major words for 100,000 events" words) true
+    (words < 64.)
+
 let test_request_ids () =
   let a = Trace.fresh_request_id () and b = Trace.fresh_request_id () in
   Alcotest.(check bool) "fresh ids nonzero" true (a <> 0 && b <> 0);
@@ -793,6 +843,10 @@ let suite =
       Alcotest.test_case "span nesting feeds histograms" `Quick test_span_nesting_and_histograms;
       Alcotest.test_case "empty spans measure nonzero time" `Quick test_empty_span_resolution;
       Alcotest.test_case "per-domain rings merge losslessly" `Quick test_per_domain_rings;
+      Alcotest.test_case "a ring read while its owner wraps is whole" `Quick
+        test_ring_whole_events;
+      Alcotest.test_case "recording puts nothing in the major heap" `Quick
+        test_record_no_major_words;
       Alcotest.test_case "request-id propagation" `Quick test_request_ids;
       Alcotest.test_case "trace-event JSON well-formed" `Quick test_trace_json_wellformed;
       Alcotest.test_case "log levels, ring, logfmt" `Quick test_log_levels_and_ring;
