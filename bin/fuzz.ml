@@ -297,7 +297,7 @@ let scratch_root =
 let run_persist_round ~seed ~ops ~size round =
   let seed = seed + (round * 104729) in
   let rng = Rng.create seed in
-  let backend = Rng.pick rng [| `Naive; `Rtree; `Solution1; `Solution2; `Solution2_nofc |] in
+  let backend = Rng.pick rng [| `Naive; `Rtree; `Solution1; `Solution2 |] in
   let pool_segs = W.roads (Rng.split rng) ~n:(2 * size) ~span:200.0 in
   let n0 = Array.length pool_segs / 2 in
   let initial = Array.sub pool_segs 0 n0 in
@@ -403,7 +403,7 @@ let site_dir site round =
 let run_crash_db_round ~seed ~ops ~size ~site round =
   let seed = seed + (round * 524287) + (Hashtbl.hash site mod 65536) in
   let rng = Rng.create seed in
-  let backend = Rng.pick rng [| `Naive; `Rtree; `Solution1; `Solution2; `Solution2_nofc |] in
+  let backend = Rng.pick rng [| `Naive; `Rtree; `Solution1; `Solution2 |] in
   let pool_segs = W.roads (Rng.split rng) ~n:(2 * size) ~span:200.0 in
   let n0 = Array.length pool_segs / 2 in
   let initial = Array.sub pool_segs 0 n0 in
@@ -533,7 +533,7 @@ let net_actions = [| Failpoint.Eio; Failpoint.Short; Failpoint.Bit_flip; Failpoi
 let run_net_round ~seed ~ops ~size round =
   let seed = seed + (round * 49157) in
   let rng = Rng.create seed in
-  let backend = Rng.pick rng [| `Naive; `Rtree; `Solution1; `Solution2; `Solution2_nofc |] in
+  let backend = Rng.pick rng [| `Naive; `Rtree; `Solution1; `Solution2 |] in
   let segs = W.roads (Rng.split rng) ~n:size ~span:200.0 in
   let db = Db.create ~backend ~block:(8 lsl Rng.int rng 3) segs in
   let dir = Filename.concat (Lazy.force scratch_root) (Printf.sprintf "net%d" round) in

@@ -54,10 +54,9 @@ let delete t (s : Segment.t) =
 
 let query t q ~f =
   List.iter
-    (fun a -> Array.iter (fun s -> if Vquery.matches q s then f s) (Store.read t.store a))
+    (fun a ->
+      Array.iter (fun (s : Segment.t) -> if Vquery.matches q s then f s.id) (Store.read t.store a))
     t.blocks
-
-let iter_all t ~f = List.iter (fun a -> Array.iter f (Store.read t.store a)) t.blocks
 
 let size t = t.size
 let block_count t = Store.block_count t.store

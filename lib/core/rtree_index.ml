@@ -9,8 +9,7 @@ let build (cfg : Vs_index.config) segs =
 
 let insert = R.insert
 let delete = R.delete
-let query = R.query
-let iter_all t ~f = R.iter t f
+let query t q ~f = R.query t q ~f:(fun (s : Segdb_geom.Segment.t) -> f s.id)
 let size = R.size
 let block_count = R.block_count
 let check_invariants = R.check_invariants

@@ -1,7 +1,7 @@
 open Segdb_io
 open Segdb_geom
 
-type backend = [ `Naive | `Rtree | `Solution1 | `Solution2 | `Solution2_nofc ]
+type backend = [ `Naive | `Rtree | `Solution1 | `Solution2 ]
 
 type pack = Pack : (module Vs_index.S with type t = 'a) * 'a -> pack
 
@@ -12,19 +12,24 @@ type t = {
   backend : backend;
   pack : pack;
   mutable wal : Wal.t option;
-  ids : (int, unit) Hashtbl.t;
-      (* live segment ids; the duplicate-insert guard must not depend
-         on the backend (naive/rtree accept duplicates, solution1/2
-         refuse them), or replayed and retried records would
-         double-apply on some backends only *)
+  ids : (int, Segment.t) Hashtbl.t;
+      (* the live segments by id, the one id→segment map: indexes
+         report ids, and this table turns them back into segments. It
+         is also the duplicate-insert guard, which must not depend on
+         the backend (naive/rtree accept duplicates, solution1/2 refuse
+         them), or replayed and retried records would double-apply on
+         some backends only *)
   query_span : string;
       (* the root span's phase, built once: a trace ring keeps a
          pointer to it, and a fresh string per query would be promoted *)
 }
 
+(* Refuses repeated ids on every backend, so the table and the index
+   hold the same segments. *)
 let seed_ids segs =
   let h = Hashtbl.create (max 16 (Array.length segs)) in
-  Array.iter (fun (s : Segment.t) -> Hashtbl.replace h s.Segment.id ()) segs;
+  Array.iter (fun (s : Segment.t) -> Hashtbl.replace h s.Segment.id s) segs;
+  if Hashtbl.length h <> Array.length segs then invalid_arg "Segdb.create: duplicate segment ids";
   h
 
 let build_pack (cfg : Vs_index.config) backend segs =
@@ -32,19 +37,18 @@ let build_pack (cfg : Vs_index.config) backend segs =
   | `Naive -> Pack ((module Naive), Naive.build cfg segs)
   | `Rtree -> Pack ((module Rtree_index), Rtree_index.build cfg segs)
   | `Solution1 -> Pack ((module Solution1), Solution1.build cfg segs)
-  | `Solution2 | `Solution2_nofc -> Pack ((module Solution2), Solution2.build cfg segs)
+  | `Solution2 -> Pack ((module Solution2), Solution2.build cfg segs)
 
-let name_of cfg (Pack ((module M), _)) =
-  if M.name = "solution2" && not cfg.Vs_index.cascade then "solution2-nofc" else M.name
+let name_of (Pack ((module M), _)) = M.name
 
-let make cfg backend pack segs =
-  let query_span = "query." ^ name_of cfg pack in
-  { cfg; backend; pack; wal = None; ids = seed_ids segs; query_span }
+let make cfg backend pack ids =
+  let query_span = "query." ^ name_of pack in
+  { cfg; backend; pack; wal = None; ids; query_span }
 
 let create ?(backend = `Solution2) ?(block = 64) ?(pool_blocks = 64) segs =
-  let cascade = backend <> `Solution2_nofc in
-  let cfg = Vs_index.config ~pool_blocks ~block ~cascade () in
-  make cfg backend (build_pack cfg backend segs) segs
+  let ids = seed_ids segs in
+  let cfg = Vs_index.config ~pool_blocks ~block () in
+  make cfg backend (build_pack cfg backend segs) ids
 
 let of_segments ?backend ?block ?pool_blocks polylines =
   let acc = ref [] in
@@ -97,7 +101,7 @@ let apply_insert t s =
     invalid_arg "Segdb.insert: duplicate segment id";
   let (Pack ((module M), v)) = t.pack in
   M.insert v s;
-  Hashtbl.replace t.ids s.Segment.id ()
+  Hashtbl.replace t.ids s.Segment.id s
 
 let apply_delete t s =
   let (Pack ((module M), v)) = t.pack in
@@ -135,7 +139,7 @@ let commit t op =
 
 (* ---------------- queries ---------------- *)
 
-let backend_name t = name_of t.cfg t.pack
+let backend_name t = name_of t.pack
 
 (* The query path's own fault site: index blocks live in memory, so
    queries have no syscalls of their own to inject into — this gives
@@ -156,10 +160,13 @@ let query_iter t q ~f =
     Probe.span t.cfg.stats t.query_span (fun () -> M.query v q ~f)
   else M.query v q ~f
 
-let query t q =
+(* The answer in reporting order, each id mapped through [seg]. *)
+let query_map t q seg =
   let acc = ref [] in
-  query_iter t q ~f:(fun s -> acc := s :: !acc);
+  query_iter t q ~f:(fun id -> acc := seg id :: !acc);
   List.rev !acc
+
+let query t q = query_map t q (Hashtbl.find t.ids)
 
 (* ---------------- degraded results ---------------- *)
 
@@ -181,7 +188,7 @@ let query_safe t q =
   let acc = ref [] in
   let finish () = List.sort compare !acc in
   try
-    query_iter t q ~f:(fun s -> acc := s.Segment.id :: !acc);
+    query_iter t q ~f:(fun id -> acc := id :: !acc);
     Degraded.ok (finish ())
   with
   | Codec.Corrupt m -> Degraded.partial (finish ()) [ "undecodable block: " ^ m ]
@@ -190,18 +197,14 @@ let query_safe t q =
         [ Printf.sprintf "%s: %s" op (Unix.error_message e) ]
 
 let query_ids t q =
-  fire_query ();
-  let (Pack ((module M), v)) = t.pack in
-  Vs_index.query_ids (module M) v q
+  let acc = ref [] in
+  query_iter t q ~f:(fun id -> acc := id :: !acc);
+  List.sort compare !acc
 
 let count t q =
   let n = ref 0 in
   query_iter t q ~f:(fun _ -> incr n);
   !n
-
-let iter_all t ~f =
-  let (Pack ((module M), v)) = t.pack in
-  M.iter_all v ~f
 
 (* ---------------- parallel read path ---------------- *)
 
@@ -213,14 +216,10 @@ let reader_io = Vs_index.reader_io
 
 let with_reader = Vs_index.with_reader
 
-let query_ids_r t r q =
-  let (Pack ((module M), v)) = t.pack in
-  Vs_index.query_ids_r (module M) r v q
+let query_ids_r t r q = with_reader r (fun () -> query_ids t q)
 
 let segments t =
-  let acc = ref [] in
-  iter_all t ~f:(fun s -> acc := s :: !acc);
-  let arr = Array.of_list !acc in
+  let arr = Array.of_seq (Hashtbl.to_seq_values t.ids) in
   Array.sort Segment.compare_id arr;
   arr
 
@@ -242,7 +241,6 @@ let all_backends =
     ("rtree", `Rtree);
     ("solution1", `Solution1);
     ("solution2", `Solution2);
-    ("solution2-nofc", `Solution2_nofc);
   ]
 
 let backend_of_string s = List.assoc_opt (String.lowercase_ascii s) all_backends
@@ -292,7 +290,7 @@ let open_db_mode ?(use_image = true) path =
              the executable that wrote it — hence the digest guard *)
           try
             let cfg, pack = (Marshal.from_string img 0 : Vs_index.config * pack) in
-            Some (make cfg backend pack c.segments)
+            Some (make cfg backend pack (seed_ids c.segments))
           with Failure _ -> None)
       | _ -> None
   in
@@ -354,25 +352,20 @@ let checkpoint ?image t path =
 (* ---------------- integrity validation ---------------- *)
 
 (* Deep check of a live database, reported rather than raised (scrub
-   semantics): id uniqueness, the NCT precondition over the stored set
-   (plane sweep), the backend's own structural invariants (PST
-   heap/x-order, interval-tree containment, cascade d-property, …)
-   via its [check_invariants], and — when [queries > 0] — that many
-   random vertical-segment queries cross-checked against a freshly built
-   naive index over the same segments. *)
+   semantics): the index's size against the facade's table, the NCT
+   precondition over the stored set (plane sweep), the backend's own
+   structural invariants (PST heap/x-order, interval-tree containment,
+   cascade d-property, …) via its [check_invariants], and — when
+   [queries > 0] — that many random vertical-segment queries
+   cross-checked against a freshly built naive index over the table's
+   segments. *)
 let validate ?(queries = 0) ?(seed = 0) t =
   let findings = ref [] in
   let note fmt = Printf.ksprintf (fun m -> findings := m :: !findings) fmt in
   let segs = segments t in
-  let ids = Hashtbl.create (Array.length segs) in
-  Array.iter
-    (fun (s : Segment.t) ->
-      if Hashtbl.mem ids s.id then note "duplicate segment id %d" s.id
-      else Hashtbl.add ids s.id ())
-    segs;
   let (Pack ((module M), v)) = t.pack in
   if M.size v <> Array.length segs then
-    note "%s: size reports %d but iteration yields %d segments" (backend_name t)
+    note "%s: size reports %d but the database holds %d segments" (backend_name t)
       (M.size v) (Array.length segs);
   if not (Sweep.verify_nct segs) then
     note "stored segments violate NCT (a crossing pair exists)";
@@ -423,9 +416,7 @@ module Sloped = struct
 
   let vq t ~p1 ~p2 = Transform.vquery_of_segment t.rot p1 p2
 
-  let query t ~p1 ~p2 =
-    query (t.db) (vq t ~p1 ~p2)
-    |> List.map (fun (s : Segment.t) -> Hashtbl.find t.originals s.id)
+  let query t ~p1 ~p2 = query_map t.db (vq t ~p1 ~p2) (Hashtbl.find t.originals)
 
   let count t ~p1 ~p2 = count t.db (vq t ~p1 ~p2)
 

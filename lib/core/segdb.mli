@@ -23,7 +23,6 @@ type backend =
   | `Rtree  (** STR-packed R-tree; the practical comparator *)
   | `Solution1  (** the paper's linear-space two-level structure *)
   | `Solution2  (** the paper's improved structure, with cascading *)
-  | `Solution2_nofc  (** Solution 2 with fractional cascading disabled *)
   ]
 
 type t
@@ -35,8 +34,9 @@ val create :
   Segment.t array ->
   t
 (** Builds an index over the segments (default backend [`Solution2],
-    block size 64, buffer pool 64 blocks). Ids must be distinct; use
-    {!of_segments} to assign them. *)
+    block size 64, buffer pool 64 blocks). Ids must be distinct on
+    every backend, or it raises [Invalid_argument]; use {!of_segments}
+    to assign them. *)
 
 val of_segments : ?backend:backend -> ?block:int -> ?pool_blocks:int -> (float * float) list list -> t
 (** Convenience: each element is a polyline (list of points) whose
@@ -57,7 +57,16 @@ val delete : t -> Segment.t -> bool
     {!insert} when a WAL is attached. *)
 
 val query : t -> Vquery.t -> Segment.t list
+(** The segments intersecting the query, each once. The index reports
+    ids; the database's own table of live segments turns them back into
+    segments. Every query here ([query], [query_ids], [count],
+    {!query_safe} and {!query_ids_r}) fires the [segdb.query] fault site
+    and, with observability on, opens the root span
+    [query.<backend>]. *)
+
 val query_ids : t -> Vquery.t -> int list
+(** The answer's ids, sorted. *)
+
 val count : t -> Vquery.t -> int
 
 (** {1 Degraded results}
@@ -91,7 +100,9 @@ val size : t -> int
 val block_count : t -> int
 
 val segments : t -> Segment.t array
-(** Every stored segment, sorted by id — what {!save} persists. *)
+(** Every stored segment, sorted by id — what {!save} persists. Read
+    from the database's table of live segments; no index block is
+    touched. *)
 
 val io : t -> Io_stats.t
 (** The index's I/O counter (shared by all its sub-structures). *)
@@ -124,8 +135,9 @@ val with_reader : reader -> (unit -> 'a) -> 'a
     callback; any [Segdb] query API used inside runs through it. *)
 
 val query_ids_r : t -> reader -> Vquery.t -> int list
-(** {!query_ids} through a reader: identical answer, I/O charged to the
-    reader, shared state untouched. *)
+(** {!query_ids} through a reader: identical answer, the same fault
+    site and root span, I/O charged to the reader, shared state
+    untouched. *)
 
 val backend : t -> backend
 val backend_name : t -> string
@@ -206,13 +218,14 @@ val checkpoint : ?image:bool -> t -> string -> unit
     carries everything the log did. *)
 
 val validate : ?queries:int -> ?seed:int -> t -> string list
-(** Deep integrity check, findings reported rather than raised: id
-    uniqueness, the NCT precondition (plane sweep over the stored
-    set), the backend's structural invariants (PST heap and x-order,
-    interval-tree containment, the cascade's d-property — whatever the
-    backend defines), and, when [queries > 0], that many seeded random
-    queries cross-checked against a freshly built naive index. [[]]
-    means the database is sound. *)
+(** Deep integrity check, findings reported rather than raised: the
+    index's size against the database's table of live segments, the
+    NCT precondition (plane sweep over the stored set), the backend's
+    structural invariants (PST heap and x-order, interval-tree
+    containment, the cascade's d-property — whatever the backend
+    defines), and, when [queries > 0], that many seeded random queries
+    cross-checked against a naive index freshly built from that table.
+    [[]] means the database is sound. *)
 
 (** {1 Fixed-slope query families}
 

@@ -14,9 +14,10 @@
 
     A query at abscissa [x0] walks one root-to-leaf path, querying
     [L(v)] or [R(v)] at depth [|x0 - bl(v)|] on the way; if [x0] hits a
-    base line exactly it queries [C(v)] and both PSTs at depth 0 and
-    stops. Every segment is stored at exactly one node, so answers are
-    reported once (base-line hits are de-duplicated by id).
+    base line exactly it queries [C(v)] and [L(v)] at depth 0 and
+    stops. Every segment is stored at exactly one node, and every
+    segment crossing [bl(v)] is in both [L(v)] and [R(v)], so reading
+    only [L(v)] on the line reports each answer once.
 
     This is Solution 2's tree at fan-out 2: one boundary per node, so
     no segment crosses two and [G] stays empty. Updates follow the

@@ -13,9 +13,10 @@
 
     A query visits one node per level, querying two PSTs and walking
     one root-to-leaf path of [G] — cascaded, so only the topmost [G]
-    level pays a list search. A query on a boundary asks [C_i] and both
-    PSTs at depth 0 and stops there, as Solution 1 does on its base
-    line. Storage O(n log2 B) from the [G] multiplicity; query
+    level pays a list search. A query on boundary [i] asks [C_i], [L_i]
+    at depth 0 and the [G] fragments that start left of it, and stops
+    there, as Solution 1 does on its base line; [R_i] would only repeat
+    them. Storage O(n log2 B) from the [G] multiplicity; query
     O(log_B n (log_B n + log2 B + IL*(B)) + t); insertions are
     semi-dynamic per the paper, via PST push-down, [C_i]/[G] doubling
     rebuilds and first-level rebuilds of a node with a heavy kid

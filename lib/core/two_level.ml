@@ -84,9 +84,10 @@ module Make (S : SHAPE) = struct
     cfg : Vs_index.config;
     fanout : int; (* the paper's b *)
     by_id : (int, Segment.t) Hashtbl.t;
-        (* materialization table: fragments carry ids; a real system would
-           store the full segment as the fragment's payload, so lookups
-           here are not charged as I/O *)
+        (* the rebuild source: PST entries and G fragments carry only
+           their part of a segment, so rebuilds, deletes and invariant
+           checks find the whole one here; lookups are not charged as
+           I/O. Queries report ids and never read it. *)
     mutable root : Block_store.addr;
     mutable size : int;
     mutable deletes : int; (* since the last global rebuild *)
@@ -185,36 +186,40 @@ module Make (S : SHAPE) = struct
 
   (* ---------------- query ---------------- *)
 
+  (* Each segment is reported by one source, without a table. A segment
+     stored here with first and last crossed boundaries f <= l sits in
+     [L_f], in [R_l] and, when f < l, in [G] over [b_f, b_l]. Inside slab
+     k, [L_k] holds those with f = k, [R_(k-1)] those with l = k - 1, [G]
+     those with f < k <= l and the kid those crossing no boundary:
+     disjoint. On boundary i, [C_i] holds the segments lying on it and
+     every other one touching it has f <= i <= l: [L_i] reports those
+     with f = i and [G]'s fragments starting left of it those with
+     f < i, so [R_i] would only repeat them. *)
   let query t (q : Vquery.t) ~f =
     Probe.span t.cfg.stats descent @@ fun () ->
-    let seen = Hashtbl.create 16 in
-    let emit id =
-      if not (Hashtbl.mem seen id) then begin
-        Hashtbl.add seen id ();
-        f (Hashtbl.find t.by_id id)
-      end
-    in
-    let emit_lseg (ls : Lseg.t) = emit ls.Lseg.id in
-    let emit_frag (s : Segment.t) = emit s.id in
+    let emit_lseg (ls : Lseg.t) = f ls.Lseg.id in
+    let emit_frag (s : Segment.t) = f s.id in
+    let emit_frag_left (s : Segment.t) = if s.x1 < q.x then f s.id in
     let rec go addr =
       if addr <> Block_store.null then
         match Store.read t.store addr with
         | Leaf segs ->
-            Array.iter (fun (s : Segment.t) -> if Vquery.matches q s then emit s.id) segs
+            Array.iter (fun (s : Segment.t) -> if Vquery.matches q s then f s.id) segs
         | Node n ->
             let m = Array.length n.boundaries in
             let k = slab_of n.boundaries q.x in
+            let on_boundary = k >= 1 && n.boundaries.(k - 1) = q.x in
             (match n.g with
-            | Some g -> G.query g ~x:q.x ~ylo:q.ylo ~yhi:q.yhi ~f:emit_frag
+            | Some g ->
+                G.query g ~x:q.x ~ylo:q.ylo ~yhi:q.yhi
+                  ~f:(if on_boundary then emit_frag_left else emit_frag)
             | None -> ());
-            if k >= 1 && n.boundaries.(k - 1) = q.x then begin
+            if on_boundary then begin
               let i = k - 1 in
               (match n.cs.(i) with
-              | Some c -> Itree.overlap c ~lo:q.ylo ~hi:q.yhi ~f:(fun iv -> emit iv.seg.Segment.id)
+              | Some c -> Itree.overlap c ~lo:q.ylo ~hi:q.yhi ~f:(fun iv -> f iv.seg.Segment.id)
               | None -> ());
-              let lq = Lseg.query ~uq:0.0 ~vlo:q.ylo ~vhi:q.yhi in
-              Pst.query n.ls.(i) lq ~f:emit_lseg;
-              Pst.query n.rs.(i) lq ~f:emit_lseg
+              Pst.query n.ls.(i) (Lseg.query ~uq:0.0 ~vlo:q.ylo ~vhi:q.yhi) ~f:emit_lseg
               (* every segment touching the boundary lives here, and every
                  kid lies strictly inside its slab: stop *)
             end
@@ -231,8 +236,6 @@ module Make (S : SHAPE) = struct
             end
     in
     go t.root
-
-  let iter_all t ~f = Hashtbl.iter (fun _ s -> f s) t.by_id
 
   (* ---------------- insertion ---------------- *)
 

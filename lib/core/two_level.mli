@@ -14,8 +14,10 @@
 
     A query visits one node per level: [G] on the way, then the PST on
     each side of its slab at the distance to that boundary. A query
-    that lands on a boundary asks [C_i] and both PSTs at depth 0 and
-    stops, because no kid holds a segment touching the boundary.
+    that lands on boundary [i] asks [C_i], [L_i] at depth 0 and the [G]
+    fragments that start left of the boundary, and stops, because no
+    kid holds a segment touching it. Each source holds a disjoint part
+    of the answer, so every id is reported once without a table.
 
     At fan-out 2 a node has one boundary, no segment crosses two
     boundaries and [G] is empty: the node is Solution 1's [bl(v)],

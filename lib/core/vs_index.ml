@@ -37,8 +37,7 @@ module type S = sig
   val build : config -> Segment.t array -> t
   val insert : t -> Segment.t -> unit
   val delete : t -> Segment.t -> bool
-  val query : t -> Vquery.t -> f:(Segment.t -> unit) -> unit
-  val iter_all : t -> f:(Segment.t -> unit) -> unit
+  val query : t -> Vquery.t -> f:(int -> unit) -> unit
   val size : t -> int
   val block_count : t -> int
   val check_invariants : t -> bool
@@ -46,7 +45,7 @@ end
 
 let query_ids (type a) (module M : S with type t = a) (t : a) q =
   let acc = ref [] in
-  M.query t q ~f:(fun s -> acc := s.Segment.id :: !acc);
+  M.query t q ~f:(fun id -> acc := id :: !acc);
   List.sort compare !acc
 
 let query_ids_r m r t q = with_reader r (fun () -> query_ids m t q)

@@ -8,7 +8,7 @@ open Segdb_geom
     an operation by snapshotting [stats] around it.
 
     {b Reader/writer contract.} The query operations ([query] and
-    everything built on it — counts, id lists, enumeration) never
+    everything built on it — counts and id lists) never
     mutate the index. [insert]/[delete] require exclusive access. A
     {!reader} makes the read half of that contract operational:
     queries run under one touch no shared state at all — I/O is
@@ -53,8 +53,7 @@ module type S = sig
   val name : string
 
   val build : config -> Segment.t array -> t
-  (** Bulk construction. Segment ids must be distinct; answers are
-      reported in terms of the original segments. *)
+  (** Bulk construction. Segment ids must be distinct. *)
 
   val insert : t -> Segment.t -> unit
 
@@ -63,15 +62,11 @@ module type S = sig
       it was present. Amortized logarithmic: the structures use local
       removal plus periodic rebuilds. *)
 
-  val query : t -> Vquery.t -> f:(Segment.t -> unit) -> unit
-  (** Calls [f] exactly once per stored segment intersecting the
-      query. *)
-
-  val iter_all : t -> f:(Segment.t -> unit) -> unit
-  (** Calls [f] exactly once per stored segment, in unspecified order —
-      the enumeration snapshots and audits are built on. Backends that
-      materialize segments by id answer from that table; block-resident
-      backends scan their blocks and are charged the I/O. *)
+  val query : t -> Vquery.t -> f:(int -> unit) -> unit
+  (** Calls [f] exactly once with the id of each stored segment
+      intersecting the query. Once follows from where the index stores
+      a segment, not from a table kept per query; turning ids back into
+      segments is {!Segdb}'s job. *)
 
   val size : t -> int
   val block_count : t -> int

@@ -125,14 +125,6 @@ let query_list t q =
   query t q ~f:(fun s -> acc := s :: !acc);
   !acc
 
-let iter t f =
-  let rec go addr =
-    match Store.read t.store addr with
-    | Leaf entries -> Array.iter (fun (_, s) -> f s) entries
-    | Inner entries -> Array.iter (fun (_, kid) -> go kid) entries
-  in
-  if t.root <> Block_store.null then go t.root
-
 (* ---------------- insertion ---------------- *)
 
 (* Quadratic split (Guttman): pick the pair wasting the most area as

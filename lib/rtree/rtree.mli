@@ -43,9 +43,5 @@ val query : t -> Vquery.t -> f:(Segment.t -> unit) -> unit
 
 val query_list : t -> Vquery.t -> Segment.t list
 
-val iter : t -> (Segment.t -> unit) -> unit
-(** Every stored segment once, in leaf order; charges the I/O of a full
-    tree walk. *)
-
 val check_invariants : t -> bool
 (** Bounding boxes cover children, occupancy bounds, uniform depth. *)

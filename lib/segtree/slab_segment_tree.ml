@@ -319,16 +319,11 @@ let query t ~x ~ylo ~yhi ~f =
     let gap = if on_boundary then !cnt else !cnt - 1 in
     let k_right = max 0 (min gap (nb - 2)) in
     if on_boundary && !cnt > 0 && !cnt <= nb - 2 then begin
-      (* two paths; dedupe by id *)
-      let seen = Hashtbl.create 16 in
-      let emit (frag : Segment.t) =
-        if not (Hashtbl.mem seen frag.Segment.id) then begin
-          Hashtbl.add seen frag.Segment.id ();
-          f frag
-        end
-      in
-      descend t ~x ~ylo ~yhi ~k:(!cnt - 1) ~emit;
-      descend t ~x ~ylo ~yhi ~k:!cnt ~emit
+      (* Two paths. Fragments end on boundaries, so the left gap's path
+         holds every fragment touching x except those starting at x,
+         and only those are new on the right gap's path. *)
+      descend t ~x ~ylo ~yhi ~k:(!cnt - 1) ~emit:f;
+      descend t ~x ~ylo ~yhi ~k:!cnt ~emit:(fun frag -> if frag.Segment.x1 = x then f frag)
     end
     else descend t ~x ~ylo ~yhi ~k:k_right ~emit:f
   end

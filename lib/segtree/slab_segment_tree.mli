@@ -46,11 +46,11 @@ val build :
     lists (default 64). Raises [Invalid_argument] on violations. *)
 
 val query : t -> x:float -> ylo:float -> yhi:float -> f:(Segment.t -> unit) -> unit
-(** Reports the stored fragments intersected by the vertical segment
-    [{x} × [ylo, yhi]]. When [x] falls strictly inside a gap each
-    fragment is reported exactly once; when [x] equals an interior
-    boundary, fragments touching it from both sides are reported and
-    de-duplicated by id. *)
+(** Reports each stored fragment intersected by the vertical segment
+    [{x} × [ylo, yhi]] exactly once. When [x] equals an interior
+    boundary the query walks both adjacent gaps' paths; the right-hand
+    one reports only the fragments that start at [x], since every other
+    fragment touching [x] covers the left-hand gap. *)
 
 val query_list : t -> x:float -> ylo:float -> yhi:float -> Segment.t list
 

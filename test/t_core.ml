@@ -1,7 +1,8 @@
 (* Core index tests: every backend must agree with the naive filter on
    every workload family and every query kind; structural invariants
-   hold after builds and after insertions; boundary-exact queries are
-   de-duplicated; I/O costs separate the indexes from the scan. *)
+   hold after builds and after insertions; boundary-exact queries
+   report each segment once; I/O costs separate the indexes from the
+   scan. *)
 
 open Segdb_io
 open Segdb_geom
@@ -290,11 +291,11 @@ let test_facade_of_segments () =
 let test_duplicate_ids_rejected () =
   let segs = [| Segment.make ~id:1 (0.0, 0.0) (1.0, 1.0); Segment.make ~id:1 (2.0, 0.0) (3.0, 1.0) |] in
   List.iter
-    (fun backend ->
+    (fun (name, backend) ->
       match Db.create ~backend segs with
       | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.fail "duplicate ids must be rejected")
-    [ `Solution1; `Solution2 ]
+      | _ -> Alcotest.fail (name ^ ": duplicate ids must be rejected"))
+    Db.all_backends
 
 let test_empty_db () =
   List.iter
@@ -912,6 +913,18 @@ let test_raw_query_raises () =
       | _ -> Alcotest.fail "raw query must raise under fault"
       | exception Unix.Unix_error (Unix.EIO, _, _) -> ())
 
+(* A reader's query is the same query: it fires the same fault site. *)
+let test_reader_query_raises () =
+  let segs = pers_workload 79 30 in
+  let db = Db.create ~backend:`Solution2 ~block:8 segs in
+  let r = Db.reader db in
+  with_disarm (fun () ->
+      Segdb_io.Failpoint.arm
+        [ ("segdb.query", Segdb_io.Failpoint.plan Segdb_io.Failpoint.Eio) ];
+      match Db.query_ids_r db r (Vquery.line ~x:50.0) with
+      | _ -> Alcotest.fail "a reader's query must raise under fault"
+      | exception Unix.Unix_error (Unix.EIO, _, _) -> ())
+
 (* The scrub-side invariant battery on healthy databases: every backend,
    including the random-query cross-check against a fresh naive build. *)
 let test_validate_clean () =
@@ -1037,6 +1050,7 @@ let suite =
         Alcotest.test_case "scan_wal sees the op sequence" `Quick test_scan_wal;
         Alcotest.test_case "query_safe degrades and heals" `Quick test_query_safe_degraded;
         Alcotest.test_case "raw query raises under fault" `Quick test_raw_query_raises;
+        Alcotest.test_case "reader query raises under fault" `Quick test_reader_query_raises;
         Alcotest.test_case "validate clean on every backend" `Quick test_validate_clean;
         Alcotest.test_case "snapshot salvage" `Quick test_snapshot_salvage;
         Alcotest.test_case "repair pipeline roundtrip" `Quick test_repair_roundtrip;

@@ -72,17 +72,16 @@ let prop_queries_leave_no_trace =
           let interleave use_reader =
             Array.iter
               (fun q ->
-                match Rng.int rng 4 with
+                match Rng.int rng 3 with
                 | 0 -> ignore (Vs.query_ids (module M) t q)
                 | 1 ->
                     let k = ref 0 in
                     M.query t q ~f:(fun _ -> incr k)
-                | 2 ->
+                | _ ->
                     if use_reader then
                       let r = Vs.reader cfg in
                       ignore (Vs.query_ids_r (module M) r t q)
-                    else M.query t q ~f:ignore
-                | _ -> M.iter_all t ~f:ignore)
+                    else M.query t q ~f:ignore)
               queries
           in
           (* plain interleaving: answers stable *)

@@ -111,7 +111,12 @@ let g_scenario =
       let* seed = 0 -- 100000 in
       let* nb = 2 -- 12 in
       let* n = 0 -- 80 in
-      let* x = float_range (-5.0) 125.0 in
+      (* a third of the queries land exactly on a boundary (multiples of
+         10), where the two gaps' paths meet *)
+      let* x =
+        frequency
+          [ (2, float_range (-5.0) 125.0); (1, map (fun i -> float_of_int (10 * i)) (0 -- (nb - 1))) ]
+      in
       let* y1 = float_range (-20.0) 220.0 in
       let* w = float_range 0.0 100.0 in
       return (seed, nb, n, x, y1, w))
