@@ -149,6 +149,10 @@ let run_round ~seed ~ops ~size round =
 module Db = Segdb_core.Segdb
 module Exec = Segdb_exec.Exec
 
+(* The facade backends a round picks from, in [Db.all_backends]' order:
+   a seeded reproducer picks by index. *)
+let backend_tags = Array.of_list (List.map snd Db.all_backends)
+
 (* Parallel round: every backend answers a random query batch three
    times — serially, via [Exec.run] on the round's own pool (the
    cooperative fan-out across [domains] participants: the caller plus
@@ -297,7 +301,7 @@ let scratch_root =
 let run_persist_round ~seed ~ops ~size round =
   let seed = seed + (round * 104729) in
   let rng = Rng.create seed in
-  let backend = Rng.pick rng [| `Naive; `Rtree; `Solution1; `Solution2 |] in
+  let backend = Rng.pick rng backend_tags in
   let pool_segs = W.roads (Rng.split rng) ~n:(2 * size) ~span:200.0 in
   let n0 = Array.length pool_segs / 2 in
   let initial = Array.sub pool_segs 0 n0 in
@@ -403,7 +407,7 @@ let site_dir site round =
 let run_crash_db_round ~seed ~ops ~size ~site round =
   let seed = seed + (round * 524287) + (Hashtbl.hash site mod 65536) in
   let rng = Rng.create seed in
-  let backend = Rng.pick rng [| `Naive; `Rtree; `Solution1; `Solution2 |] in
+  let backend = Rng.pick rng backend_tags in
   let pool_segs = W.roads (Rng.split rng) ~n:(2 * size) ~span:200.0 in
   let n0 = Array.length pool_segs / 2 in
   let initial = Array.sub pool_segs 0 n0 in
@@ -533,7 +537,7 @@ let net_actions = [| Failpoint.Eio; Failpoint.Short; Failpoint.Bit_flip; Failpoi
 let run_net_round ~seed ~ops ~size round =
   let seed = seed + (round * 49157) in
   let rng = Rng.create seed in
-  let backend = Rng.pick rng [| `Naive; `Rtree; `Solution1; `Solution2 |] in
+  let backend = Rng.pick rng backend_tags in
   let segs = W.roads (Rng.split rng) ~n:size ~span:200.0 in
   let db = Db.create ~backend ~block:(8 lsl Rng.int rng 3) segs in
   let dir = Filename.concat (Lazy.force scratch_root) (Printf.sprintf "net%d" round) in
@@ -635,7 +639,7 @@ let ids_of_db db =
 let run_replica_round ~seed ~ops ~size round =
   let seed = seed + (round * 999983) in
   let rng = Rng.create seed in
-  let backend = Rng.pick rng [| `Naive; `Rtree; `Solution1; `Solution2 |] in
+  let backend = Rng.pick rng backend_tags in
   let pool_segs = W.roads (Rng.split rng) ~n:(2 * size) ~span:200.0 in
   let n0 = Array.length pool_segs / 2 in
   let initial = Array.sub pool_segs 0 n0 in

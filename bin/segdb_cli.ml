@@ -50,12 +50,27 @@ module Client = Segdb_net.Client
 
 let seed_t = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Generator seed.")
 
+(* An integer option with a lower bound: a smaller value is a usage
+   error that names the bound, not an uncaught exception. *)
+let int_at_least lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "%S: expected an integer >= %d" s lo))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive_int = int_at_least 1
+
 let block_t =
-  Arg.(value & opt int 64 & info [ "block"; "B" ] ~docv:"B" ~doc:"Items per disk block.")
+  Arg.(
+    value
+    & opt (int_at_least Segdb_core.Vs_index.min_block) 64
+    & info [ "block"; "B" ] ~docv:"B" ~doc:"Items per disk block.")
 
 let pool_t =
   Arg.(
-    value & opt int 64
+    value & opt positive_int 64
     & info [ "pool" ] ~docv:"BLOCKS" ~doc:"Buffer pool capacity in blocks.")
 
 let backend_conv =
@@ -366,7 +381,7 @@ let query_local file backend block pool q verbose trace trace_json =
     print_newline ();
     if events = [] then empty_trace_note ()
     else begin
-      print_string (Obs.Export.trace_text events);
+      print_string (Obs.Export.timeline events);
       print_newline ();
       print_string (Obs.Export.phase_summary Obs.Metrics.default)
     end;
@@ -385,7 +400,7 @@ let query_remote_traced addr c q verbose trace_json =
   let r =
     Obs.Trace.with_request_id rid (fun () ->
         Obs.Trace.with_span "client.request" (fun () ->
-            Client.batch_ex c ~request_id:rid ~trace:true [| q |]))
+            Client.batch c ~request_id:rid ~trace:true [| q |]))
   in
   let ids = r.Db.Degraded.value.(0) in
   Printf.printf "%s -> %d segments%s (via %s, request %x)\n"
@@ -457,7 +472,8 @@ let trace_t =
     & info [ "trace" ]
         ~doc:
           "Trace the query pipeline: print every recorded span (descent, PST, interval \
-           tree, slab tree) with durations and block counts, plus the per-phase summary. \
+           tree, slab tree) as a timeline, with start offsets, durations and block \
+           counts, plus the per-phase summary. \
            With $(b,--connect), the query ships with a client-generated request id, the \
            server's spans for it are fetched back, and the stitched \
            client→server→storage timeline is printed.")
@@ -607,14 +623,6 @@ let batch_local file backend block pool domains deadline_ms qs verbose =
   Table.print table;
   dump_local_slowlog ();
   0
-
-let positive_int =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "%S: expected an integer >= 1" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
 
 let domains_t =
   Arg.(
@@ -854,16 +862,14 @@ let scrub path wal queries =
   let add src fs = List.iter (fun f -> findings := (src ^ ": " ^ f) :: !findings) fs in
   (if Snapshot.is_snapshot path then begin
      Printf.printf "%s: snapshot\n" path;
-     let fs, contents = Snapshot.salvage ~path in
+     let fs, _ = Snapshot.salvage ~path in
      add path fs;
-     match contents with
-     | None -> ()
-     | Some _ -> (
-         (* the file-level checks passed enough to open; now check the
-            index it holds *)
-         match Db.open_db path with
-         | db -> add path (Db.validate ~queries db)
-         | exception Segdb_core.Snapshot.Corrupt_snapshot m -> add path [ m ])
+     (* open refuses exactly the files salvage finds damaged, so only a
+        clean file opens; then check the index it holds *)
+     if fs = [] then
+       match Db.open_db path with
+       | db -> add path (Db.validate ~queries db)
+       | exception Segdb_core.Snapshot.Corrupt_snapshot m -> add path [ m ]
    end
    else add path [ "unrecognized magic: not a segdb snapshot" ]);
   (match wal with

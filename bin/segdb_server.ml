@@ -106,8 +106,19 @@ let backend_t =
     & opt backend_conv `Solution2
     & info [ "backend" ] ~docv:"NAME" ~doc:"Index backend (for text segment files).")
 
+(* a block below the index's minimum is a usage error naming the
+   bound, not an uncaught exception *)
+let block_conv =
+  let lo = Segdb_core.Vs_index.min_block in
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "%S: expected an integer >= %d" s lo))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let block_t =
-  Arg.(value & opt int 64 & info [ "block"; "B" ] ~docv:"B" ~doc:"Items per disk block.")
+  Arg.(value & opt block_conv 64 & info [ "block"; "B" ] ~docv:"B" ~doc:"Items per disk block.")
 
 let domains_t =
   Arg.(

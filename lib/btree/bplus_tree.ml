@@ -30,7 +30,6 @@ struct
     fanout : int;
     mutable root : Block_store.addr;
     mutable size : int;
-    mutable height : int; (* 1 = root is a leaf *)
   }
 
   let min_occupancy fanout = (fanout + 1) / 2
@@ -74,118 +73,11 @@ struct
     if fanout < 4 then invalid_arg "Bplus_tree.create: fanout must be >= 4";
     let store = Store.create ~name:"bplus" ~pool ~stats () in
     let root = Store.alloc store (Leaf { keys = [||]; vals = [||]; next = Block_store.null }) in
-    { store; fanout; root; size = 0; height = 1 }
+    { store; fanout; root; size = 0 }
 
   let size t = t.size
   let is_empty t = t.size = 0
-  let height t = t.height
   let block_count t = Store.block_count t.store
-
-  (* ---------------- bulk load ---------------- *)
-
-  let bulk_load ?(fanout = 64) ~pool ~stats entries =
-    if fanout < 4 then invalid_arg "Bplus_tree.bulk_load: fanout must be >= 4";
-    for i = 1 to Array.length entries - 1 do
-      if K.compare (fst entries.(i - 1)) (fst entries.(i)) >= 0 then
-        invalid_arg "Bplus_tree.bulk_load: keys not strictly increasing"
-    done;
-    let t = create ~fanout ~pool ~stats () in
-    let n = Array.length entries in
-    if n = 0 then t
-    else begin
-      (* Cut [n] items into runs of size within [min_occ, fanout],
-         keeping the tail legal by evening out the last two runs. *)
-      let runs total cap min_occ =
-        let nruns = (total + cap - 1) / cap in
-        let nruns = max nruns 1 in
-        let base = total / nruns and extra = total mod nruns in
-        List.init nruns (fun i -> if i < extra then base + 1 else base)
-        |> List.map (fun sz ->
-               assert (sz <= cap && (nruns = 1 || sz >= min_occ));
-               sz)
-      in
-      let min_occ = min_occupancy fanout in
-      (* leaves *)
-      let leaf_sizes = runs n fanout min_occ in
-      let pos = ref 0 in
-      let leaves =
-        List.map
-          (fun sz ->
-            let keys = Array.init sz (fun i -> fst entries.(!pos + i)) in
-            let vals = Array.init sz (fun i -> snd entries.(!pos + i)) in
-            pos := !pos + sz;
-            let addr = Store.alloc t.store (Leaf { keys; vals; next = Block_store.null }) in
-            (addr, keys.(0)))
-          leaf_sizes
-      in
-      (* chain the leaves *)
-      let rec chain = function
-        | (a, _) :: ((b, _) :: _ as rest) ->
-            (match Store.read t.store a with
-            | Leaf l -> Store.write t.store a (Leaf { keys = l.keys; vals = l.vals; next = b })
-            | Inner _ -> assert false);
-            chain rest
-        | _ -> ()
-      in
-      chain leaves;
-      (* build inner levels *)
-      let rec build level nodes =
-        match nodes with
-        | [ (addr, _) ] ->
-            t.root <- addr;
-            t.height <- level
-        | _ ->
-            let arr = Array.of_list nodes in
-            let m = Array.length arr in
-            let sizes = runs m fanout min_occ in
-            let pos = ref 0 in
-            let parents =
-              List.map
-                (fun sz ->
-                  let kids = Array.init sz (fun i -> fst arr.(!pos + i)) in
-                  let seps = Array.init (sz - 1) (fun i -> snd arr.(!pos + i + 1)) in
-                  let first_key = snd arr.(!pos) in
-                  pos := !pos + sz;
-                  let addr = Store.alloc t.store (Inner { seps; kids }) in
-                  (addr, first_key))
-                sizes
-            in
-            build (level + 1) parents
-      in
-      (* free the initial empty root *)
-      Store.free t.store t.root;
-      build 1 leaves;
-      t.size <- n;
-      t
-    end
-
-  (* ---------------- search ---------------- *)
-
-  let rec find_node t addr key =
-    match Store.read t.store addr with
-    | Leaf { keys; vals; _ } ->
-        let i = lower_bound keys key in
-        if i < Array.length keys && K.compare keys.(i) key = 0 then Some vals.(i) else None
-    | Inner { seps; kids } -> find_node t kids.(child_index seps key) key
-
-  let find t key = find_node t t.root key
-
-  let rec min_node t addr =
-    match Store.read t.store addr with
-    | Leaf { keys; vals; _ } ->
-        if Array.length keys = 0 then None else Some (keys.(0), vals.(0))
-    | Inner { kids; _ } -> min_node t kids.(0)
-
-  let min_binding t = min_node t t.root
-
-  let rec max_node t addr =
-    match Store.read t.store addr with
-    | Leaf { keys; vals; _ } ->
-        let n = Array.length keys in
-        if n = 0 then None else Some (keys.(n - 1), vals.(n - 1))
-    | Inner { kids; _ } -> max_node t kids.(Array.length kids - 1)
-
-  let max_binding t = max_node t t.root
 
   (* ---------------- insertion ---------------- *)
 
@@ -245,8 +137,7 @@ struct
     | None -> ()
     | Some (sep, right) ->
         let root = Store.alloc t.store (Inner { seps = [| sep |]; kids = [| t.root; right |] }) in
-        t.root <- root;
-        t.height <- t.height + 1
+        t.root <- root
 
   (* ---------------- deletion ---------------- *)
 
@@ -381,7 +272,6 @@ struct
        | Inner { kids; _ } when Array.length kids = 1 ->
            let old = t.root in
            t.root <- kids.(0);
-           t.height <- t.height - 1;
            Store.free t.store old
        | _ -> ());
     present
@@ -481,28 +371,24 @@ struct
     in
     walk start_addr
 
-  let fold t ~init ~f =
-    let acc = ref init in
-    iter_range t ~lo:None ~hi:None (fun k v -> acc := f !acc k v);
-    !acc
-
   (* ---------------- invariants ---------------- *)
 
   let check_invariants t =
     let ok = ref true in
     let min_occ = min_occupancy t.fanout in
-    let leaves = ref [] in
+    let leaf_depth = ref None in
     let rec go addr depth ~is_root =
       match Store.read t.store addr with
       | Leaf { keys; vals; _ } ->
-          if depth <> t.height then ok := false;
+          (match !leaf_depth with
+          | None -> leaf_depth := Some depth
+          | Some d -> if d <> depth then ok := false);
           if Array.length keys <> Array.length vals then ok := false;
           if (not is_root) && Array.length keys < min_occ then ok := false;
           if Array.length keys > t.fanout then ok := false;
           for i = 1 to Array.length keys - 1 do
             if K.compare keys.(i - 1) keys.(i) >= 0 then ok := false
           done;
-          leaves := addr :: !leaves;
           if Array.length keys = 0 then [] else [ keys.(0); keys.(Array.length keys - 1) ]
       | Inner { seps; kids } ->
           if Array.length kids <> Array.length seps + 1 then ok := false;

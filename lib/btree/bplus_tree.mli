@@ -3,10 +3,10 @@ open Segdb_io
 (** External-memory B+-trees over the simulated block store.
 
     The substrate the paper assumes from [7]: `O(log_B n + t)` range
-    queries, `O(n)` blocks, `O(log_B n)` updates. Used directly as the
-    multislab lists of the segment tree [G] (Section 4.2), as the sorted
-    runs inside external PST nodes, and available as a general-purpose
-    index.
+    queries, `O(n)` blocks, `O(log_B n)` updates. Two structures use
+    it: the external interval tree ([Segdb_itree]), for its slab and
+    multislab lists, and the segment tree [G] ([Segdb_segtree]), for
+    the overlays that hold inserted fragments until a rebuild.
 
     One tree node occupies exactly one block; the [fanout] parameter
     plays the role of [B]. Leaves are chained for ordered traversal. *)
@@ -31,21 +31,9 @@ end) : sig
   (** An empty tree. [fanout] (default 64) is the maximal number of
       entries per node; minimum occupancy is [fanout / 2]. *)
 
-  val bulk_load :
-    ?fanout:int ->
-    pool:Block_store.Pool.t ->
-    stats:Io_stats.t ->
-    (key * value) array ->
-    t
-  (** Builds bottom-up from an array sorted by strictly increasing key.
-      Raises [Invalid_argument] if keys are not strictly increasing. *)
-
   val size : t -> int
   val is_empty : t -> bool
-  val height : t -> int
   val block_count : t -> int
-
-  val find : t -> key -> value option
 
   val insert : t -> key -> value -> unit
   (** Replaces the value if the key is present. *)
@@ -53,9 +41,6 @@ end) : sig
   val delete : t -> key -> bool
   (** Returns whether the key was present. Rebalances with borrow/merge
       so occupancy invariants are preserved. *)
-
-  val min_binding : t -> (key * value) option
-  val max_binding : t -> (key * value) option
 
   val iter_range : t -> lo:key option -> hi:key option -> (key -> value -> unit) -> unit
   (** In-order over keys in [\[lo, hi\]] (closed; [None] = unbounded),
@@ -73,8 +58,6 @@ end) : sig
       (all false entries precede all true ones). Useful when keys carry geometry and the boundary
       is defined by evaluation rather than by a comparable constant
       (e.g. "first fragment crossing [x] above [y]"). *)
-
-  val fold : t -> init:'a -> f:('a -> key -> value -> 'a) -> 'a
 
   val check_invariants : t -> bool
   (** Key order, occupancy bounds, uniform leaf depth, leaf-chain

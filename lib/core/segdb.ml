@@ -50,22 +50,6 @@ let create ?(backend = `Solution2) ?(block = 64) ?(pool_blocks = 64) segs =
   let cfg = Vs_index.config ~pool_blocks ~block () in
   make cfg backend (build_pack cfg backend segs) ids
 
-let of_segments ?backend ?block ?pool_blocks polylines =
-  let acc = ref [] in
-  let id = ref 0 in
-  List.iter
-    (fun points ->
-      let rec go = function
-        | a :: (b :: _ as rest) ->
-            acc := Segment.make ~id:!id a b :: !acc;
-            incr id;
-            go rest
-        | _ -> ()
-      in
-      go points)
-    polylines;
-  create ?backend ?block ?pool_blocks (Array.of_list (List.rev !acc))
-
 (* ---------------- WAL records ---------------- *)
 
 let op_codec : op Codec.t =

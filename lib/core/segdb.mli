@@ -35,13 +35,8 @@ val create :
   t
 (** Builds an index over the segments (default backend [`Solution2],
     block size 64, buffer pool 64 blocks). Ids must be distinct on
-    every backend, or it raises [Invalid_argument]; use {!of_segments}
-    to assign them. *)
-
-val of_segments : ?backend:backend -> ?block:int -> ?pool_blocks:int -> (float * float) list list -> t
-(** Convenience: each element is a polyline (list of points) whose
-    consecutive point pairs become segments; ids are assigned
-    sequentially. The caller is responsible for the NCT property. *)
+    every backend, or it raises [Invalid_argument]. The caller is
+    responsible for the NCT property. *)
 
 val insert : t -> Segment.t -> unit
 (** Semi-dynamic insertion; the new segment must not cross stored ones

@@ -2,8 +2,6 @@ open Segdb_io
 
 exception Corrupt_snapshot of string
 
-let corrupt fmt = Printf.ksprintf (fun m -> raise (Corrupt_snapshot m)) fmt
-
 let magic = "SEGDBSNP"
 let version = 1
 let sp_write = Failpoint.site "snapshot.write"
@@ -91,118 +89,83 @@ let write ~path header ~segments ~image =
       Failpoint.Io.fsync fd);
   Sys.rename tmp path
 
-let read ~path =
-  let data =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let r = Codec.R.of_string data in
-  (try
-     if Codec.R.raw r 8 <> magic then corrupt "%s: not a segdb snapshot (bad magic)" path
-   with Codec.Corrupt _ -> corrupt "%s: not a segdb snapshot (too short)" path);
-  try
-    let ver = Codec.R.u32 r in
-    if ver <> version then corrupt "%s: unsupported snapshot version %d" path ver;
-    let hlen = Codec.R.u32 r in
-    let hp = Codec.R.raw r hlen in
-    let hcrc = Codec.R.u32 r in
-    if Crc.string hp <> hcrc then corrupt "%s: header CRC mismatch" path;
-    let header = Codec.decode header_codec hp in
-    let segments = ref None and image = ref None in
-    while Codec.R.remaining r > 0 do
-      let tag = Codec.R.u8 r in
-      let len = Codec.R.u64 r in
-      let crc = Codec.R.u32 r in
-      let payload = Codec.R.raw r len in
-      if Crc.string payload <> crc then corrupt "%s: section %d CRC mismatch" path tag;
-      if tag = tag_segments then segments := Some payload
-      else if tag = tag_image then image := Some payload
-      (* unknown tags are skipped: forward compatibility *)
-    done;
-    let segments =
-      match !segments with
-      | None -> corrupt "%s: no segments section" path
-      | Some payload -> Codec.decode Seg_file.array_codec payload
-    in
-    if Array.length segments <> header.count then
-      corrupt "%s: header says %d segments, section holds %d" path header.count
-        (Array.length segments);
-    { header; segments; image = !image }
-  with Codec.Corrupt m -> corrupt "%s: malformed snapshot: %s" path m
+let load path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
 
-(* Lenient variant of {!read} for repair: collects findings instead of
-   raising, drops damaged sections instead of rejecting the file, and
-   returns whatever survives. A corrupt image section costs only the
-   rebuild fast path; corrupt segments cost the contents. *)
-let salvage ~path =
+(* The one section walk. It collects findings instead of raising,
+   drops damaged sections instead of rejecting the file, and returns
+   whatever survives: a corrupt image section costs only the rebuild
+   fast path, corrupt segments cost the contents. *)
+let parse data =
   let findings = ref [] in
   let note fmt = Printf.ksprintf (fun m -> findings := m :: !findings) fmt in
+  let r = Codec.R.of_string data in
   let contents =
-    try
-      let data =
-        let ic = open_in_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      let r = Codec.R.of_string data in
-      if (try Codec.R.raw r 8 <> magic with Codec.Corrupt _ -> true) then begin
-        note "not a segdb snapshot (bad magic)";
-        None
-      end
-      else begin
-        let header =
-          try
-            let ver = Codec.R.u32 r in
-            if ver <> version then note "unsupported snapshot version %d" ver;
-            let hlen = Codec.R.u32 r in
-            let hp = Codec.R.raw r hlen in
-            let hcrc = Codec.R.u32 r in
-            if Crc.string hp <> hcrc then begin
-              note "header CRC mismatch";
-              None
-            end
-            else Some (Codec.decode header_codec hp)
-          with Codec.Corrupt m ->
-            note "malformed header: %s" m;
-            None
-        in
-        match header with
-        | None -> None
-        | Some header -> (
-            let segments = ref None and image = ref None in
-            (try
-               while Codec.R.remaining r > 0 do
-                 let tag = Codec.R.u8 r in
-                 let len = Codec.R.u64 r in
-                 let crc = Codec.R.u32 r in
-                 let payload = Codec.R.raw r len in
-                 if Crc.string payload <> crc then
-                   note "section %d: CRC mismatch (dropped)" tag
-                 else if tag = tag_segments then segments := Some payload
-                 else if tag = tag_image then image := Some payload
-               done
-             with Codec.Corrupt m -> note "truncated section table: %s" m);
-            match !segments with
-            | None ->
-                note "no intact segments section";
-                None
-            | Some payload -> (
-                match Codec.decode Seg_file.array_codec payload with
-                | exception Codec.Corrupt m ->
-                    note "segments section does not decode: %s" m;
-                    None
-                | segments ->
-                    if Array.length segments <> header.count then
-                      note "header says %d segments, section holds %d (using the \
-                            section)"
-                        header.count (Array.length segments);
-                    Some { header; segments; image = !image }))
-      end
-    with Sys_error m ->
-      note "unreadable: %s" m;
+    if (try Codec.R.raw r 8 <> magic with Codec.Corrupt _ -> true) then begin
+      note "not a segdb snapshot (bad magic)";
       None
+    end
+    else begin
+      let header =
+        try
+          let ver = Codec.R.u32 r in
+          if ver <> version then note "unsupported snapshot version %d" ver;
+          let hlen = Codec.R.u32 r in
+          let hp = Codec.R.raw r hlen in
+          let hcrc = Codec.R.u32 r in
+          if Crc.string hp <> hcrc then begin
+            note "header CRC mismatch";
+            None
+          end
+          else Some (Codec.decode header_codec hp)
+        with Codec.Corrupt m ->
+          note "malformed header: %s" m;
+          None
+      in
+      match header with
+      | None -> None
+      | Some header -> (
+          let segments = ref None and image = ref None in
+          (try
+             while Codec.R.remaining r > 0 do
+               let tag = Codec.R.u8 r in
+               let len = Codec.R.u64 r in
+               let crc = Codec.R.u32 r in
+               let payload = Codec.R.raw r len in
+               if Crc.string payload <> crc then note "section %d: CRC mismatch" tag
+               else if tag = tag_segments then segments := Some payload
+               else if tag = tag_image then image := Some payload
+               (* unknown tags are skipped: forward compatibility *)
+             done
+           with Codec.Corrupt m -> note "truncated section table: %s" m);
+          match !segments with
+          | None ->
+              note "no intact segments section";
+              None
+          | Some payload -> (
+              match Codec.decode Seg_file.array_codec payload with
+              | exception Codec.Corrupt m ->
+                  note "segments section does not decode: %s" m;
+                  None
+              | segments ->
+                  if Array.length segments <> header.count then
+                    note "header says %d segments, section holds %d" header.count
+                      (Array.length segments);
+                  Some { header; segments; image = !image }))
+    end
   in
   (List.rev !findings, contents)
+
+let read ~path =
+  match parse (load path) with
+  | [], Some c -> c
+  | finding :: _, _ -> raise (Corrupt_snapshot (path ^ ": " ^ finding))
+  | [], None -> assert false (* a lost section is always noted *)
+
+let salvage ~path =
+  match load path with
+  | data -> parse data
+  | exception Sys_error m -> ([ "unreadable: " ^ m ], None)

@@ -56,12 +56,15 @@ val write :
   unit
 
 val read : path:string -> contents
-(** Raises {!Corrupt_snapshot} on damage; every section is CRC-checked
-    before use. *)
+(** The contents of a pristine file: {!salvage}'s walk, which checks
+    every section's CRC before use, with no finding. Any finding raises
+    {!Corrupt_snapshot} naming the path and the first finding. Raises
+    [Sys_error] if the file cannot be read. *)
 
 val salvage : path:string -> string list * contents option
 (** Best-effort read for repair: returns findings (empty means the file
     is pristine) plus whatever survives. A damaged image section is
     dropped — costing only the rebuild fast path — and a segment-count
     mismatch trusts the section; only a destroyed segments section (or
-    header) loses the contents. Never raises on damage. *)
+    header) loses the contents. Never raises on damage; an unreadable
+    file is one more finding. *)

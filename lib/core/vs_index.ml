@@ -8,8 +8,11 @@ type config = {
   cascade : bool;
 }
 
+let min_block = 4
+
 let config ?(pool_blocks = 64) ?(block = 64) ?(cascade = true) () =
-  if block < 4 then invalid_arg "Vs_index.config: block must be >= 4";
+  if block < min_block then
+    invalid_arg (Printf.sprintf "Vs_index.config: block must be >= %d" min_block);
   {
     pool = Block_store.Pool.create ~capacity:pool_blocks;
     stats = Io_stats.create ();

@@ -23,11 +23,15 @@ type config = {
   cascade : bool; (** Solution 2: fractional cascading in [G] *)
 }
 
+val min_block : int
+(** The smallest [block] {!config} accepts (4). *)
+
 val config :
   ?pool_blocks:int -> ?block:int -> ?cascade:bool -> unit -> config
 (** Defaults: a 64-block pool, [block = 64], cascading on. The pool is
     deliberately small relative to index sizes so that I/O counts
-    reflect structure traversals rather than cache hits. *)
+    reflect structure traversals rather than cache hits. Raises
+    [Invalid_argument] when [block < min_block] or [pool_blocks < 1]. *)
 
 type reader = Read_context.t
 (** A read context for this index family: per-reader {!Io_stats.t} plus

@@ -53,14 +53,3 @@ let right_of_vline ~base_x (s : Segment.t) =
   if not (Segment.spans_x s base_x) then invalid_arg "Lseg.right_of_vline: no crossing";
   if Segment.is_vertical s then invalid_arg "Lseg.right_of_vline: vertical segment";
   make ~id:s.id ~base_v:(Segment.y_at s base_x) ~far_u:(s.x2 -. base_x) ~far_v:s.y2 ()
-
-let above_hline ~base_y (s : Segment.t) =
-  let on_base y = y = base_y in
-  if on_base s.y1 && s.y2 >= base_y then
-    make ~id:s.id ~base_v:s.x1 ~far_u:(s.y2 -. base_y) ~far_v:s.x2 ()
-  else if on_base s.y2 && s.y1 >= base_y then
-    make ~id:s.id ~base_v:s.x2 ~far_u:(s.y1 -. base_y) ~far_v:s.x1 ()
-  else invalid_arg "Lseg.above_hline: segment is not line-based on this line"
-
-let to_segment_above ~base_y s =
-  Segment.make ~id:s.id (s.base_v, base_y) (s.far_v, base_y +. s.far_u)

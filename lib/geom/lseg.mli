@@ -7,11 +7,12 @@
     its base ordinate [base_v] (position of the on-line endpoint along
     the base line) and its far endpoint [(far_u, far_v)].
 
-    Both orientations used by the two-level structures map here:
-    - a vertical base line [x = xb] with segments to its left/right
-      ([u] = distance from the line, [v] = y);
-    - the horizontal base line of the paper's figures
-      ([u] = height above the line, [v] = x).
+    The two-level structures use two orientations, both on a vertical
+    base line [x = xb]: the parts of segments to its left
+    ({!left_of_vline}) and to its right ({!right_of_vline}), with [u]
+    the distance from the line and [v] = y. The paper's figures draw
+    the base line horizontal; the workload generators build segments
+    in the canonical frame directly.
 
     Queries are segments parallel to the base line: the line [u = uq]
     restricted to [v ∈ [vlo, vhi]].
@@ -68,10 +69,3 @@ val left_of_vline : base_x:float -> Segment.t -> t
 
 val right_of_vline : base_x:float -> Segment.t -> t
 (** Symmetric right part. *)
-
-val above_hline : base_y:float -> Segment.t -> t
-(** For a segment with one endpoint on [y = base_y] and the other at
-    [y >= base_y] (the paper's drawing convention). *)
-
-val to_segment_above : base_y:float -> t -> Segment.t
-(** Inverse of [above_hline] (for tests and figures). *)

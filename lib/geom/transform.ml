@@ -9,8 +9,6 @@ let to_vertical ~slope =
   let h = sqrt (1.0 +. (slope *. slope)) in
   { c = slope /. h; s = 1.0 /. h }
 
-let inverse t = { t with s = -.t.s }
-
 let point t (x, y) = ((t.c *. x) -. (t.s *. y), (t.s *. x) +. (t.c *. y))
 
 let segment t (sg : Segment.t) =

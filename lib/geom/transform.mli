@@ -18,8 +18,6 @@ val to_vertical : slope:float -> t
 (** The rotation mapping every line of slope [slope] to a vertical
     line. *)
 
-val inverse : t -> t
-
 val point : t -> float * float -> float * float
 
 val segment : t -> Segment.t -> Segment.t

@@ -10,8 +10,6 @@ let ray_up ~x ~ylo = segment ~x ~ylo ~yhi:infinity
 let ray_down ~x ~yhi = segment ~x ~ylo:neg_infinity ~yhi
 let line ~x = segment ~x ~ylo:neg_infinity ~yhi:infinity
 
-let is_line q = q.ylo = neg_infinity && q.yhi = infinity
-
 let matches q (s : Segment.t) =
   Segment.spans_x s q.x
   &&

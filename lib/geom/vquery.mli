@@ -21,8 +21,6 @@ val ray_down : x:float -> yhi:float -> t
 val line : x:float -> t
 (** The full vertical line: a stabbing query. *)
 
-val is_line : t -> bool
-
 val matches : t -> Segment.t -> bool
 (** Closed-intersection test between the query and a segment; this is
     the oracle every index is tested against. Touching counts as

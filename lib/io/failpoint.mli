@@ -79,7 +79,9 @@ val arm_from_env : unit -> unit
     stderr, so a typo cannot silently disarm a fault run. *)
 
 val parse_spec : string -> ((string * plan) list, string) result
-(** The parser behind {!arm_from_env}, exposed for the CLI. *)
+(** The parser behind {!arm_from_env}: [Error] names the first
+    malformed entry. Exposed so tests can check the grammar without
+    touching the environment. *)
 
 val fire : site -> action option
 (** Consult the site: [None] when disarmed (one atomic load) or when

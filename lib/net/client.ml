@@ -213,13 +213,7 @@ let query t q =
       { Db.Degraded.value = ids; complete; faults }
   | r -> unexpected "ids" r
 
-let batch t qs =
-  match rpc t (Wire.Batch qs) with
-  | Wire.Batch_ids { results; complete; faults } ->
-      { Db.Degraded.value = results; complete; faults }
-  | r -> unexpected "batch ids" r
-
-let batch_ex t ?(request_id = 0) ?(trace = false) qs =
+let batch t ?(request_id = 0) ?(trace = false) qs =
   match rpc t (Wire.Batch_ex { request_id; trace; queries = qs }) with
   | Wire.Batch_ids { results; complete; faults } ->
       { Db.Degraded.value = results; complete; faults }

@@ -356,7 +356,6 @@ let submit_query t conn req =
   let qs, kind, rid, trace =
     match req with
     | Wire.Query q -> ([| q |], `Query, 0, false)
-    | Wire.Batch qs -> (qs, `Batch, 0, false)
     | Wire.Batch_ex { request_id; trace; queries } -> (queries, `Batch, request_id, trace)
     | _ -> assert false
   in
@@ -552,7 +551,7 @@ let dispatch t conn req =
   | Wire.Repl_ack { epoch; lsn } -> handle_ack t conn ~epoch ~lsn
   | Wire.Repl_status -> respond t conn (Wire.Repl_status_payload (repl_status_enriched t))
   | Wire.Promote { epoch } -> handle_promote t conn ~epoch
-  | Wire.Query _ | Wire.Batch _ | Wire.Batch_ex _ ->
+  | Wire.Query _ | Wire.Batch_ex _ ->
       if Atomic.get t.stopping then respond t conn (Wire.Error (Wire.Shutting_down, "draining"))
       else submit_query t conn req
 

@@ -8,7 +8,6 @@ module Seg_file = Segdb_core.Seg_file
 type request =
   | Ping
   | Query of Vquery.t
-  | Batch of Vquery.t array
   | Stats of [ `Text | `Json | `Prometheus ]
   | Shutdown
   | Batch_ex of { request_id : int; trace : bool; queries : Vquery.t array }
@@ -215,9 +214,6 @@ let request_payload req =
   | Query q ->
       Codec.W.u8 b 2;
       write_vquery b q
-  | Batch qs ->
-      Codec.W.u8 b 4;
-      vqueries_codec.Codec.write b qs
   | Stats fmt ->
       Codec.W.u8 b 5;
       Codec.W.u8 b (fmt_to_tag fmt)
@@ -330,7 +326,6 @@ let decode_request ?pos ?len payload =
       match tag with
       | 1 -> Some Ping
       | 2 -> Some (Query (read_vquery r))
-      | 4 -> Some (Batch (vqueries_codec.Codec.read r))
       | 5 -> Some (Stats (fmt_of_tag (Codec.R.u8 r)))
       | 6 -> Some Shutdown
       | 7 ->

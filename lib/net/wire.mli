@@ -24,22 +24,23 @@ open Segdb_geom
 (** What a client can ask. Queries are read-only and therefore safe to
     retry; [Shutdown] requests a graceful drain.
 
-    Tags added after the first release ([Batch_ex], [Trace_fetch],
-    [Slowlog]) rely on the unknown-tag rule for compatibility: an old
-    server answers them [Error (Bad_request, _)] and keeps the stream
-    up, so a new client talking to an old peer degrades instead of
-    wedging. *)
+    A peer answers a tag it does not know with
+    [Error (Bad_request, _)] and keeps the stream up, so a client
+    talking to an older peer degrades instead of wedging. Every batch
+    travels as [Batch_ex]; tag 4, which carried a batch with neither a
+    request id nor a trace flag, is not reused, so a peer that still
+    sends it gets that answer. *)
 type request =
   | Ping
   | Query of Vquery.t
-  | Batch of Vquery.t array
   | Stats of [ `Text | `Json | `Prometheus ]
   | Shutdown
   | Batch_ex of { request_id : int; trace : bool; queries : Vquery.t array }
-      (** [Batch] plus observability: the client-generated request id
-          is carried into every span the server records while serving
-          it, and [trace] asks the server to bracket execution in an
-          ["exec.batch"] span. Answered with {!Batch_ids}. *)
+      (** A batch of queries, answered with {!Batch_ids}. A nonzero
+          [request_id] (client-generated) is carried into every span
+          the server records while serving it; [0] lets the server
+          draw one. [trace] asks the server to bracket execution in an
+          ["exec.batch"] span. *)
   | Trace_fetch of { request_id : int }
       (** Return the server's retained trace events for one request
           (as {!Trace_events}) — how a client reassembles the full

@@ -274,19 +274,6 @@ let window_percentile prev cur name p =
 
 (* ---------------- trace rendering ---------------- *)
 
-let trace_text events =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "seq    phase                                dur(us)  blocks\n";
-  List.iter
-    (fun (ev : Trace.event) ->
-      let label = String.make (2 * ev.depth) ' ' ^ ev.phase in
-      Buffer.add_string buf
-        (Printf.sprintf "%-6d %-36s %8.1f %7d\n" ev.seq label
-           (float_of_int ev.dur_ns /. 1e3)
-           ev.blocks))
-    events;
-  Buffer.contents buf
-
 (* The stitched per-request view: events from several processes and
    domains (a client's ring merged with what the server returned over
    the wire), ordered by wall-clock start. Seqs from different

@@ -1,4 +1,4 @@
-(** Render a metrics registry (and trace dumps) for humans and tools. *)
+(** Render a metrics registry (and trace timelines) for humans and tools. *)
 
 val text : Metrics.t -> string
 (** Aligned tables: counters/gauges, then histogram summaries. *)
@@ -56,14 +56,13 @@ val window_percentile : scrape -> scrape -> string -> float -> float option
     diffing the cumulative bucket series and interpolating inside the
     landing bucket. [None] when the window holds no samples. *)
 
-val trace_text : Trace.event list -> string
-(** The span dump: one line per event, indented by nesting depth. *)
-
 val timeline : Trace.event list -> string
-(** The stitched per-request view: events (possibly merged from
+(** The span view, local or stitched: events (possibly merged from
     several processes — a client's ring plus what a server returned
-    over the wire) ordered by wall-clock start, with offsets relative
-    to the earliest event and the recording domain shown per line. *)
+    over the wire) ordered by wall-clock start, so a parent prints
+    above its children, each line indented by nesting depth, with
+    offsets relative to the earliest event and the recording domain
+    shown per line. *)
 
 val trace_json : Trace.event list -> string
 (** Chrome trace-event JSON (complete ["X"] events, timestamps in

@@ -316,37 +316,6 @@ let find_profile t (q : Lseg.query) ~leftmost =
   done;
   { result = !best; visited = !visited; max_width = !max_width; levels = !levels }
 
-(* The paper's literal two-phase Report (Appendix A, Algorithm 2):
-   locate the deepest-leftmost and deepest-rightmost intersected
-   segments, then report the 3-sided set {key in [sl, sr], far_u >= uq}
-   — by the NCT order lemma that set equals the answer. The one-pass
-   [query] is the production path; this variant exists to execute the
-   paper's algorithm as written and is oracle-tested against [query]. *)
-let query_two_phase t (q : Lseg.query) ~f =
-  Probe.span t.io "pst.report" @@ fun () ->
-  match (find_leftmost t q, find_rightmost t q) with
-  | None, _ | _, None -> ()
-  | Some sl, Some sr ->
-      let rec report (c : child) =
-        if
-          c.addr <> Block_store.null && c.top >= q.uq
-          && Lseg.compare_key c.kmax sl >= 0
-          && Lseg.compare_key c.kmin sr <= 0
-        then begin
-          let n = Store.read t.store c.addr in
-          Array.iter
-            (fun (s : Lseg.t) ->
-              if
-                Lseg.reaches s q.uq
-                && Lseg.compare_key s sl >= 0
-                && Lseg.compare_key s sr <= 0
-              then f s)
-            n.segs;
-          Array.iter report n.children
-        end
-      in
-      report t.root
-
 (* ---------------- insertion ---------------- *)
 
 let sorted_insert (segs : Lseg.t array) (s : Lseg.t) =

@@ -77,7 +77,11 @@ val block_count : t -> int
 
 val query : t -> Lseg.query -> f:(Lseg.t -> unit) -> unit
 (** Reports every stored segment intersected by the query, exactly once,
-    in no particular order. *)
+    in no particular order. This is the paper's Report (Appendix A,
+    Algorithm 2) in one pass: where Algorithm 2 first runs [Find] for
+    the two boundary segments and then reports the 3-sided set between
+    their keys, the scan prunes by the boundary witnesses as it meets
+    them, and the NCT order lemma makes the two sets equal. *)
 
 val query_list : t -> Lseg.query -> Lseg.t list
 
@@ -108,12 +112,6 @@ type find_profile = {
 }
 
 val find_profile : t -> Lseg.query -> leftmost:bool -> find_profile
-
-val query_two_phase : t -> Lseg.query -> f:(Lseg.t -> unit) -> unit
-(** The paper's Report as written (Appendix A, Algorithm 2): [Find]
-    both boundary segments, then report the 3-sided set between their
-    keys — which the NCT order lemma proves equal to the answer. Same
-    results as {!query}; kept as the faithful-to-the-text variant. *)
 
 val iter : t -> (Lseg.t -> unit) -> unit
 

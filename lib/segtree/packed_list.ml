@@ -81,10 +81,10 @@ struct
     end
 
   (* Locate the data block containing global position [i]; returns its
-     address, starting global position, entries, and neighbours. *)
+     address, starting global position, entries, and successor. *)
   let rec locate t addr base i =
     match Store.read t.store addr with
-    | Data { entries; prev; next } -> (addr, base, entries, prev, next)
+    | Data { entries; next; _ } -> (addr, base, entries, next)
     | Index { offsets; kids; _ } ->
         (* last child whose offset <= i *)
         let k = ref 0 in
@@ -95,7 +95,7 @@ struct
 
   let get t i =
     if i < 0 || i >= t.length then invalid_arg "Packed_list.get: out of bounds";
-    let _, base, entries, _, _ = locate t t.root 0 i in
+    let _, base, entries, _ = locate t t.root 0 i in
     entries.(i - base)
 
   let search t ~cmp =
@@ -126,7 +126,7 @@ struct
   let iter_forward t i f =
     if t.length > 0 && i < t.length then begin
       let i = max i 0 in
-      let _, base0, entries0, _, next0 = locate t t.root 0 i in
+      let _, base0, entries0, next0 = locate t t.root 0 i in
       let rec go base entries next start =
         let n = Array.length entries in
         let rec scan j =
@@ -145,33 +145,10 @@ struct
       go base0 entries0 next0 (i - base0)
     end
 
-  let iter_backward t i f =
-    if t.length > 0 && i >= 0 then begin
-      let i = min i (t.length - 1) in
-      let _, base0, entries0, prev0, _ = locate t t.root 0 i in
-      let rec go base entries prev start =
-        let rec scan j =
-          if j < 0 then
-            if prev = Block_store.null then ()
-            else begin
-              match Store.read t.store prev with
-              | Data d ->
-                  let m = Array.length d.entries in
-                  go (base - m) d.entries d.prev (m - 1)
-              | Index _ -> assert false
-            end
-          else
-            match f (base + j) entries.(j) with `Continue -> scan (j - 1) | `Stop -> ()
-        in
-        scan start
-      in
-      go base0 entries0 prev0 (i - base0)
-    end
-
   let pos_of t i =
     if t.length = 0 || i < 0 || i > t.length then invalid_arg "Packed_list.pos_of";
     let i' = min i (t.length - 1) in
-    let addr, base, _, _, _ = locate t t.root 0 i' in
+    let addr, base, _, _ = locate t t.root 0 i' in
     (* i = length lands one past the end of the last block *)
     { paddr = addr; pbase = base; poffset = i - base }
 

@@ -51,10 +51,6 @@ end) : sig
   (** From position [i] (inclusive) rightward; positions past the end
       are permitted and yield nothing. *)
 
-  val iter_backward : t -> int -> (int -> E.t -> [ `Continue | `Stop ]) -> unit
-  (** From position [i] (inclusive) leftward; [i = -1] yields nothing,
-      [i >= length] is clamped to the last entry. *)
-
   val pos_of : t -> int -> pos
   (** Physical position of global index [i] (0 <= i <= length; [length]
       maps one past the last block's entries). Pays an index descent —

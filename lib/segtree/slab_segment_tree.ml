@@ -82,13 +82,19 @@ let lower_bound arr cmp_v =
   done;
   !lo
 
-let boundary_index boundaries x =
-  let lo = ref 0 and hi = ref (Array.length boundaries - 1) in
+(* The number of boundaries below x: the index of the first one >= x.
+   Typed, so the probes stay unboxed float comparisons. *)
+let below (boundaries : float array) x =
+  let lo = ref 0 and hi = ref (Array.length boundaries) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
     if boundaries.(mid) < x then lo := mid + 1 else hi := mid
   done;
-  if boundaries.(!lo) = x then !lo
+  !lo
+
+let boundary_index boundaries x =
+  let i = below boundaries x in
+  if i < Array.length boundaries && boundaries.(i) = x then i
   else invalid_arg "Slab_segment_tree: fragment endpoint is not on a boundary"
 
 (* mutable skeleton used during construction *)
@@ -304,26 +310,18 @@ let query t ~x ~ylo ~yhi ~f =
   let boundaries = t.boundaries in
   let nb = Array.length boundaries in
   if nb >= 2 && x >= boundaries.(0) && x <= boundaries.(nb - 1) then begin
-    (* gap index: number of boundaries < x, minus 1; exact hits on an
-       interior boundary touch fragments on both sides *)
-    let cnt = ref 0 in
-    Array.iter (fun b -> if b < x then incr cnt) boundaries;
-    let on_boundary =
-      let lo = ref 0 and hi = ref (nb - 1) in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if boundaries.(mid) < x then lo := mid + 1 else hi := mid
-      done;
-      boundaries.(!lo) = x
-    in
-    let gap = if on_boundary then !cnt else !cnt - 1 in
+    (* x is in gap cnt - 1, and cnt < nb; an exact hit on an interior
+       boundary touches fragments on both sides *)
+    let cnt = below boundaries x in
+    let on_boundary = boundaries.(cnt) = x in
+    let gap = if on_boundary then cnt else cnt - 1 in
     let k_right = max 0 (min gap (nb - 2)) in
-    if on_boundary && !cnt > 0 && !cnt <= nb - 2 then begin
+    if on_boundary && cnt > 0 && cnt <= nb - 2 then begin
       (* Two paths. Fragments end on boundaries, so the left gap's path
          holds every fragment touching x except those starting at x,
          and only those are new on the right gap's path. *)
-      descend t ~x ~ylo ~yhi ~k:(!cnt - 1) ~emit:f;
-      descend t ~x ~ylo ~yhi ~k:!cnt ~emit:(fun frag -> if frag.Segment.x1 = x then f frag)
+      descend t ~x ~ylo ~yhi ~k:(cnt - 1) ~emit:f;
+      descend t ~x ~ylo ~yhi ~k:cnt ~emit:(fun frag -> if frag.Segment.x1 = x then f frag)
     end
     else descend t ~x ~ylo ~yhi ~k:k_right ~emit:f
   end

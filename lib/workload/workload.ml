@@ -281,23 +281,6 @@ let segment_queries rng ~n ~span ~selectivity =
 let line_queries rng ~n ~span =
   Array.init n (fun _ -> Vquery.line ~x:(Rng.float rng span))
 
-let ray_queries rng ~n ~span =
-  Array.init n (fun i ->
-      let x = Rng.float rng span and y = Rng.float rng span in
-      if i mod 2 = 0 then Vquery.ray_up ~x ~ylo:y else Vquery.ray_down ~x ~yhi:y)
-
-let mixed_queries rng ~n ~span ~selectivity =
-  Array.init n (fun i ->
-      match i mod 3 with
-      | 0 -> Vquery.line ~x:(Rng.float rng span)
-      | 1 ->
-          let x = Rng.float rng span and y = Rng.float rng span in
-          if i mod 2 = 0 then Vquery.ray_up ~x ~ylo:y else Vquery.ray_down ~x ~yhi:y
-      | _ ->
-          let h = selectivity *. span in
-          let x = Rng.float rng span and yc = Rng.float rng span in
-          Vquery.segment ~x ~ylo:(yc -. (h /. 2.0)) ~yhi:(yc +. (h /. 2.0)))
-
 (* ---------------- checking ---------------- *)
 
 let verify_nct segs =

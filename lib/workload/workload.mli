@@ -65,13 +65,6 @@ val segment_queries :
 val line_queries : Rng.t -> n:int -> span:float -> Vquery.t array
 (** Stabbing queries (Figure 1's left side). *)
 
-val ray_queries : Rng.t -> n:int -> span:float -> Vquery.t array
-(** Upward/downward rays, alternating. *)
-
-val mixed_queries :
-  Rng.t -> n:int -> span:float -> selectivity:float -> Vquery.t array
-(** One third each of lines, rays, segments. *)
-
 (** {1 Checking} *)
 
 val verify_nct : Segment.t array -> bool

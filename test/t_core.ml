@@ -280,14 +280,6 @@ let test_facade () =
       Alcotest.(check bool) (name ^ " blocks > 0") true (Db.block_count db > 0))
     Db.all_backends
 
-let test_facade_of_segments () =
-  let db =
-    Db.of_segments ~backend:`Solution1
-      [ [ (0.0, 0.0); (1.0, 1.0); (2.0, 0.5) ]; [ (0.0, 5.0); (2.0, 5.0) ] ]
-  in
-  Alcotest.(check int) "three segments" 3 (Db.size db);
-  Alcotest.(check int) "stab all" 3 (Db.count db (Vquery.line ~x:1.0))
-
 let test_duplicate_ids_rejected () =
   let segs = [| Segment.make ~id:1 (0.0, 0.0) (1.0, 1.0); Segment.make ~id:1 (2.0, 0.0) (3.0, 1.0) |] in
   List.iter
@@ -361,7 +353,6 @@ let suite =
   ( "core",
     [
       Alcotest.test_case "facade backends agree" `Quick test_facade;
-      Alcotest.test_case "facade of_segments" `Quick test_facade_of_segments;
       Alcotest.test_case "duplicate ids rejected" `Quick test_duplicate_ids_rejected;
       Alcotest.test_case "empty db" `Quick test_empty_db;
       Alcotest.test_case "io separation from naive" `Quick test_io_separation;
@@ -639,6 +630,64 @@ let test_snapshot_corrupt () =
       | exception Segdb_core.Snapshot.Corrupt_snapshot _ -> ()
       | _ -> Alcotest.fail "bit flip must be detected")
 
+(* One parser, two modes: a strict open refuses exactly the files in
+   which salvage finds damage. The file is saved once, with its image;
+   each case flips one byte in the header, segments or image section,
+   or truncates the file at a section boundary (at its full length it
+   stays pristine, and a file cut before the image loses nothing that
+   a rebuild needs). *)
+let prop_snapshot_damage =
+  let pristine =
+    lazy
+      (with_tmp ".snap" (fun path ->
+           Db.save (Db.create ~backend:`Solution2 ~block:16 (pers_workload 5 60)) path;
+           In_channel.with_open_bin path In_channel.input_all))
+  in
+  (* section starts: magic, version, header length, header, header CRC;
+     then each section is tag u8 | len u64 | crc u32 | payload *)
+  let boundaries data =
+    let header_end = 16 + Int32.to_int (String.get_int32_le data 12) + 4 in
+    let image_start = header_end + 13 + Int64.to_int (String.get_int64_le data (header_end + 1)) in
+    [| 0; header_end; image_start; String.length data |]
+  in
+  let damage_gen =
+    QCheck.Gen.(
+      oneof
+        [
+          map3 (fun r frac x -> `Flip (r, frac, x)) (int_bound 2) (float_bound_exclusive 1.0)
+            (int_range 1 255);
+          map (fun i -> `Truncate i) (int_bound 3);
+        ])
+  in
+  let print = function
+    | `Flip (r, frac, x) -> Printf.sprintf "flip section %d at %.3f xor %d" r frac x
+    | `Truncate i -> Printf.sprintf "truncate at boundary %d" i
+  in
+  QCheck.Test.make ~name:"strict open fails exactly where salvage finds damage" ~count:200
+    (QCheck.make ~print damage_gen)
+    (fun damage ->
+      let data = Lazy.force pristine in
+      let bs = boundaries data in
+      let damaged =
+        match damage with
+        | `Truncate i -> String.sub data 0 bs.(i)
+        | `Flip (r, frac, x) ->
+            let i = bs.(r) + int_of_float (frac *. float_of_int (bs.(r + 1) - bs.(r))) in
+            let b = Bytes.of_string data in
+            Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor x));
+            Bytes.to_string b
+      in
+      with_tmp ".snap" (fun path ->
+          Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc damaged);
+          let findings, _ = Segdb_core.Snapshot.salvage ~path in
+          match (Db.open_db path, findings) with
+          | _, [] -> true
+          | _, f :: _ -> QCheck.Test.fail_reportf "opened despite finding %S" f
+          | exception Segdb_core.Snapshot.Corrupt_snapshot m -> (
+              match findings with
+              | [] -> QCheck.Test.fail_reportf "refused a file salvage finds clean: %s" m
+              | f :: _ -> m = path ^ ": " ^ f)))
+
 (* Crash recovery: acknowledged inserts/deletes survive a process that
    never saved. The "crash" drops the db without checkpointing; reopen
    replays the WAL into a fresh index. *)
@@ -776,6 +825,7 @@ let suite =
         Alcotest.test_case "snapshot roundtrip, all backends" `Quick test_snapshot_roundtrip;
         Alcotest.test_case "snapshot without image rebuilds" `Quick test_snapshot_no_image;
         Alcotest.test_case "snapshot rejects bit flips" `Quick test_snapshot_corrupt;
+        qtest prop_snapshot_damage;
         Alcotest.test_case "wal crash recovery, all backends" `Quick test_wal_recovery;
         Alcotest.test_case "wal truncation sweep (segdb)" `Quick test_wal_truncation_sweep;
         Alcotest.test_case "checkpoint truncates the log" `Quick test_checkpoint;

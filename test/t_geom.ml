@@ -133,21 +133,6 @@ let prop_order_lemma =
       in
       monotone sorted)
 
-let prop_lseg_roundtrip =
-  QCheck.Test.make ~name:"lseg above_hline roundtrip" ~count:300 nct_lsegs_arb (fun segs ->
-      let approx a b = Float.abs (a -. b) <= 1e-9 *. (1.0 +. Float.abs a) in
-      Array.for_all
-        (fun (s : Lseg.t) ->
-          let plane = Lseg.to_segment_above ~base_y:2.0 s in
-          let back = Lseg.above_hline ~base_y:2.0 plane in
-          (* the height passes through base_y +. far_u -. base_y, which
-             floats do not make exact *)
-          back.Lseg.id = s.Lseg.id
-          && approx back.Lseg.base_v s.Lseg.base_v
-          && approx back.Lseg.far_u s.Lseg.far_u
-          && approx back.Lseg.far_v s.Lseg.far_v)
-        segs)
-
 let prop_vline_parts_consistent =
   (* Splitting a plane segment at a vertical line and querying both
      parts at the line reproduces the original crossing point. *)
@@ -199,14 +184,6 @@ let prop_rotation_preserves_distance =
       let t = Transform.rotation ~angle in
       let x', y' = Transform.point t (x, y) in
       Float.abs (sqrt ((x *. x) +. (y *. y)) -. sqrt ((x' *. x') +. (y' *. y'))) < 1e-9)
-
-let prop_rotation_inverse =
-  QCheck.Test.make ~name:"inverse undoes rotation" ~count:300
-    (QCheck.make QCheck.Gen.(triple (float_range (-3.0) 3.0) (float_range (-20.0) 20.0) (float_range (-20.0) 20.0)))
-    (fun (angle, x, y) ->
-      let t = Transform.rotation ~angle in
-      let x', y' = Transform.point (Transform.inverse t) (Transform.point t (x, y)) in
-      Float.abs (x -. x') < 1e-9 && Float.abs (y -. y') < 1e-9)
 
 let prop_sloped_query_matches =
   (* Intersections are invariant under the rotation: a sloped query
@@ -268,10 +245,8 @@ let suite =
       qtest prop_crosses_symmetric;
       qtest prop_crosses_implies_intersect;
       qtest prop_order_lemma;
-      qtest prop_lseg_roundtrip;
       qtest prop_vline_parts_consistent;
       qtest prop_rotation_to_vertical;
       qtest prop_rotation_preserves_distance;
-      qtest prop_rotation_inverse;
       qtest prop_sloped_query_matches;
     ] )

@@ -63,13 +63,15 @@ let gen_segment =
          (tup2 (int_bound 1_000_000) (tup2 gen_coord gen_coord))
          (tup2 gen_coord gen_coord)))
 
+(* A batch frame with no request id and no trace flag. *)
+let batch queries = Wire.Batch_ex { request_id = 0; trace = false; queries }
+
 let gen_request =
   QCheck.Gen.(
     oneof
       [
         return Wire.Ping;
         map (fun q -> Wire.Query q) gen_vquery;
-        map (fun qs -> Wire.Batch (Array.of_list qs)) (list_size (int_bound 8) gen_vquery);
         map (fun f -> Wire.Stats f) (oneofl [ `Text; `Json; `Prometheus ]);
         return Wire.Shutdown;
         map3
@@ -349,7 +351,7 @@ let prop_framer_chunking =
     (fun (reqs, (at, seed), chunks, damaged) ->
       (* one batch whose frame is larger than the 64 KiB receive
          buffer: 24 bytes a query, so about 72 KB *)
-      let big = Wire.Batch (random_queries ~n:3_000 seed) in
+      let big = batch (random_queries ~n:3_000 seed) in
       let reqs =
         let at = min at (List.length reqs) in
         List.filteri (fun i _ -> i < at) reqs @ (big :: List.filteri (fun i _ -> i >= at) reqs)
@@ -408,7 +410,7 @@ let with_socketpair f =
 
 let test_send_recv_roundtrip () =
   with_socketpair (fun a b ->
-      let req = Wire.Batch [| Vquery.line ~x:3.0; Vquery.ray_up ~x:1.0 ~ylo:0.0 |] in
+      let req = batch [| Vquery.line ~x:3.0; Vquery.ray_up ~x:1.0 ~ylo:0.0 |] in
       Wire.send b (Wire.encode_request req);
       match Wire.recv a with
       | Result.Ok payload ->
@@ -541,7 +543,7 @@ let test_pipelined_trickle () =
           [
             Wire.encode_request Wire.Ping;
             Wire.encode_request (Wire.Query qs.(0));
-            Wire.encode_request (Wire.Batch big);
+            Wire.encode_request (batch big);
             raw_frame "\x63";
             Wire.encode_request (Wire.Query qs.(1));
           ]
@@ -780,7 +782,7 @@ let test_deadline () =
              batch itself must reach the worker within its budget: 5ms
              leaves room for a loaded machine's scheduling delays *)
           let slow =
-            Wire.Batch (Array.init 20 (fun i -> Vquery.line ~x:(float_of_int i /. 3.0)))
+            batch (Array.init 20 (fun i -> Vquery.line ~x:(float_of_int i /. 3.0)))
           in
           Wire.send fd (Wire.encode_request slow);
           Wire.send fd (Wire.encode_request (Wire.Query (Vquery.line ~x:1.0)));

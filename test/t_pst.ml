@@ -294,17 +294,3 @@ let prop_find_bfs_agrees =
 let suite =
   let name, cases = suite in
   (name, cases @ [ qtest prop_find_bfs_agrees ])
-
-let prop_two_phase_agrees =
-  QCheck.Test.make ~name:"two-phase Report (Appendix A) equals one-pass query" ~count:300
-    scenario_arb
-    (fun ((_, _, _, _, uq, v1, width) as sc) ->
-      let t, segs, _ = build_of sc in
-      let q = Lseg.query ~uq ~vlo:v1 ~vhi:(v1 +. width) in
-      let two = ref [] in
-      Pst.query_two_phase t q ~f:(fun s -> two := s :: !two);
-      ids !two = ids (oracle segs q))
-
-let suite =
-  let name, cases = suite in
-  (name, cases @ [ qtest prop_two_phase_agrees ])

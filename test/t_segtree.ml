@@ -50,18 +50,20 @@ let prop_plist_walks =
       let arr = Array.of_list xs in
       let n = Array.length arr in
       QCheck.assume (n > 0);
-      let start = start mod n in
+      (* every position, one past the end included *)
+      let start = start mod (n + 1) in
       let t = Pl.build ~block_capacity:3 ~pool ~stats:io arr in
+      let p = Pl.pos_of t start in
       let fwd = ref [] in
-      Pl.iter_forward t start (fun i e ->
-          fwd := (i, e) :: !fwd;
+      Pl.walk_forward t p (fun e ->
+          fwd := e :: !fwd;
           `Continue);
       let bwd = ref [] in
-      Pl.iter_backward t start (fun i e ->
-          bwd := (i, e) :: !bwd;
+      Pl.walk_backward t p (fun e ->
+          bwd := e :: !bwd;
           `Continue);
-      List.rev !fwd = List.init (n - start) (fun k -> (start + k, arr.(start + k)))
-      && List.rev !bwd = List.init (start + 1) (fun k -> (start - k, arr.(start - k))))
+      List.rev !fwd = List.init (n - start) (fun k -> arr.(start + k))
+      && List.rev !bwd = List.init start (fun k -> arr.(start - 1 - k)))
 
 let test_plist_empty () =
   let pool, io = mk_pool () in
@@ -69,7 +71,8 @@ let test_plist_empty () =
   Alcotest.(check int) "length" 0 (Pl.length t);
   Alcotest.(check int) "search" 0 (Pl.search t ~cmp:(fun _ -> 0));
   Pl.iter_forward t 0 (fun _ _ -> Alcotest.fail "no entries");
-  Pl.iter_backward t 0 (fun _ _ -> Alcotest.fail "no entries")
+  Alcotest.check_raises "no position" (Invalid_argument "Packed_list.pos_of") (fun () ->
+      ignore (Pl.pos_of t 0))
 
 let test_plist_search_io () =
   let pool = Block_store.Pool.create ~capacity:4 in
